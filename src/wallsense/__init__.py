@@ -7,6 +7,8 @@ sample, peak, and output byte.
 
 __version__ = "0.1.0"
 
+from types import ModuleType as _ModuleType
+
 from .scene import (
     HUMAN_BODY,
     LAB_WALL,
@@ -102,6 +104,11 @@ from .scenefile import (
     parse_labeled_rrm_csv,
     parse_scenario,
     parse_scene_config,
+    scenario_from_config,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# Submodules are package attributes too; `profile` would shadow the stdlib.
+__all__ = sorted(
+    name for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, _ModuleType)
+)

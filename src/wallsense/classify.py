@@ -51,6 +51,12 @@ DEFAULT_BANDS = ClassBands(
 )
 
 
+# A baseline's reference feature lies within HINT_BINS of the hint range and
+# reaches MIN_RSA_FRACTION of the profile maximum.
+HINT_BINS = 3
+MIN_RSA_FRACTION = 1e-4
+
+
 @dataclass(frozen=True)
 class Baseline:
     """Averaged empty-room profile plus its anchor peak."""
@@ -69,16 +75,15 @@ class RrmReading:
 
 def capture_baseline(
     profiles: Sequence[RangeProfile],
-    feature_range_hint_m: float,
+    feature_range_hint_m: float | None,
     label: str = "baseline",
-    hint_bins: int = 3,
-    min_rsa_fraction: float = 1e-4,
 ) -> Baseline:
     """Average one or more empty-room scans and lock onto a reference peak.
 
-    The reference feature is the strongest peak within hint_bins bins of
-    the hint range. Peaks below min_rsa_fraction of the profile maximum are
-    ignored so window sidelobes and float dust cannot anchor the baseline.
+    The reference feature is the strongest peak within HINT_BINS bins of
+    the hint range, or the strongest peak anywhere when the hint is None.
+    Peaks below MIN_RSA_FRACTION of the profile maximum are ignored so
+    window sidelobes and float dust cannot anchor the baseline.
 
     Raises ValueError when the profiles disagree on chirp configuration or
     no peak exists near the hint.
@@ -92,13 +97,17 @@ def capture_baseline(
     mean_rsa = np.mean([p.rsa for p in profiles], axis=0)
     averaged = RangeProfile(np.array(profiles[0].ranges_m), mean_rsa, chirp)
 
-    floor = min_rsa_fraction * float(mean_rsa.max()) if mean_rsa.size else 0.0
+    floor = MIN_RSA_FRACTION * float(mean_rsa.max()) if mean_rsa.size else 0.0
     peaks = find_peaks_in_series(averaged.ranges_m, averaged.rsa, min_rsa=floor)
+    if feature_range_hint_m is None:
+        if not peaks:
+            raise ValueError("baseline profile has no peaks to anchor on")
+        return Baseline(averaged, max(peaks, key=lambda p: p.rsa), label)
     hint_bin = round(feature_range_hint_m / averaged.bin_spacing_m)
-    near = [p for p in peaks if abs(p.bin_index - hint_bin) <= hint_bins]
+    near = [p for p in peaks if abs(p.bin_index - hint_bin) <= HINT_BINS]
     if not near:
         raise ValueError(
-            f"reference feature not found within {hint_bins} bins of "
+            f"reference feature not found within {HINT_BINS} bins of "
             f"{feature_range_hint_m} m"
         )
     return Baseline(averaged, max(near, key=lambda p: p.rsa), label)

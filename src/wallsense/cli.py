@@ -14,11 +14,15 @@ from importlib import resources
 from pathlib import Path
 
 from . import __version__
-from .classify import DEFAULT_BANDS, calibrate_bands, capture_baseline, classify, rrm_compensated
-from .profile import Window, detect_peaks, profile_to_csv, range_profile
+from .classify import Baseline, calibrate_bands, capture_baseline
+from .profile import Window, profile_to_csv, range_profile
 from .scenario import (
     BUILTIN_SCENARIOS,
+    ScenarioStep,
+    _run_scans,
     builtin_scenario,
+    classification_to_csv,
+    monitor_to_csv,
     run_scenario,
     write_run_result,
 )
@@ -29,10 +33,10 @@ from .scenefile import (
     load_scenario_file,
     load_scene_config,
     parse_labeled_rrm_csv,
+    scenario_from_config,
 )
-from .scene import validate_scene
 from .synth import synthesize_beat
-from .throughwall import MonitorZone, detect_occupancy, track_approach
+from .throughwall import MonitorZone
 
 
 def _parse_zone_flag(text: str) -> tuple[float, float]:
@@ -49,24 +53,12 @@ def _load_config(path: str, seed: int | None) -> SceneConfig:
     cfg = load_scene_config(path)
     if seed is not None:
         cfg = replace(cfg, scene=replace(cfg.scene, rng_seed=seed))
-    validate_scene(cfg.scene).raise_if_invalid()
     return cfg
 
 
-def _profile_for(cfg: SceneConfig):
-    return range_profile(synthesize_beat(cfg.scene, cfg.chirp), Window.HANN)
-
-
-def _baseline_for(cfg: SceneConfig, label: str):
-    prof = _profile_for(cfg)
-    hint = cfg.baseline_hint_m
-    if hint is None:
-        # No hint configured: anchor on the strongest peak present.
-        peaks = detect_peaks(prof, min_rsa=1e-4 * float(prof.rsa.max() or 0.0))
-        if not peaks:
-            raise ValueError("baseline profile has no peaks to anchor on")
-        hint = max(peaks, key=lambda p: p.rsa).range_m
-    return capture_baseline([prof], hint, label=label)
+def _baseline_for(cfg: SceneConfig, path: str) -> Baseline:
+    prof = range_profile(synthesize_beat(cfg.scene, cfg.chirp), Window.HANN)
+    return capture_baseline([prof], cfg.baseline_hint_m, label=Path(path).stem)
 
 
 def _write(out_dir: str, name: str, text: str) -> Path:
@@ -92,24 +84,14 @@ def _cmd_classify(args: argparse.Namespace) -> int:
     base_cfg = _load_config(args.baseline, None)
     if base_cfg.chirp != cfg.chirp:
         raise ValueError("scene and baseline chirp configurations differ")
-    baseline = _baseline_for(base_cfg, label=Path(args.baseline).stem)
+    baseline = _baseline_for(base_cfg, args.baseline)
+    scenario = scenario_from_config(
+        cfg, "classify", (ScenarioStep(args.scene),), ("profile", "rrm", "classify")
+    )
     if args.bands:
-        bands = load_bands(args.bands)
-    else:
-        bands = cfg.bands if cfg.bands is not None else DEFAULT_BANDS
-
-    prof = _profile_for(cfg)
-    peaks = detect_peaks(prof, cfg.detect_min_prominence, cfg.detect_min_rsa)
-    ref_bin = baseline.reference_feature.bin_index
-    lines = ["peak_range_m,rsa,rrm,class"]
-    for peak in peaks:
-        if abs(peak.bin_index - ref_bin) <= 3:
-            continue
-        reading = rrm_compensated(peak, baseline)
-        cls = classify(reading, bands)
-        lines.append(f"{peak.range_m:.9g},{peak.rsa:.9g},{reading.rrm:.9g},{cls}")
-    path = _write(args.out, "classification.csv", "\n".join(lines) + "\n")
-    print(path)
+        scenario = replace(scenario, bands=load_bands(args.bands))
+    result = _run_scans(scenario, baseline, [cfg.scene])
+    print(_write(args.out, "classification.csv", classification_to_csv(result)))
     return 0
 
 
@@ -122,40 +104,29 @@ def _cmd_monitor(args: argparse.Namespace) -> int:
         zone = MonitorZone(near, far, defaults.excess_threshold, defaults.guard_bins)
     if zone is None:
         raise ValueError("no monitor zone: pass --zone near,far or a monitor.zone section")
-    baseline = _baseline_for(
-        replace(base_cfg, baseline_hint_m=base_cfg.baseline_hint_m or zone.far_m),
-        label=Path(args.baseline).stem,
+    base_cfg = replace(
+        base_cfg, zone=zone, baseline_hint_m=base_cfg.baseline_hint_m or zone.far_m
     )
+    baseline = _baseline_for(base_cfg, args.baseline)
 
-    reports = []
-    lines = ["scan_index,occupied,range_m,excess_rsa,status"]
-    for i, scene_path in enumerate(args.scene):
-        cfg = _load_config(scene_path, args.seed)
+    def scan(path: str):
+        cfg = _load_config(path, args.seed)
         if cfg.chirp != base_cfg.chirp:
-            raise ValueError(f"{scene_path}: chirp differs from the baseline chirp")
-        report = detect_occupancy(baseline, _profile_for(cfg), zone, scan_index=i)
-        reports.append(report)
-        status = track_approach(reports, zone).status.value
-        strongest = report.strongest()
-        r = "" if strongest is None else f"{strongest.range_m:.9g}"
-        e = "" if strongest is None else f"{strongest.rsa:.9g}"
-        lines.append(f"{i},{report.occupied},{r},{e},{status}")
-    path = _write(args.out, "monitor.csv", "\n".join(lines) + "\n")
-    print(path)
+            raise ValueError(f"{path}: chirp differs from the baseline chirp")
+        return cfg.scene
+
+    steps = tuple(ScenarioStep(path) for path in args.scene)
+    scenario = scenario_from_config(base_cfg, "monitor", steps, ("profile", "throughwall"))
+    # map() loads each scan only when the loop reaches it.
+    result = _run_scans(scenario, baseline, map(scan, args.scene))
+    print(_write(args.out, "monitor.csv", monitor_to_csv(result)))
     return 0
 
 
 def _cmd_scenario(args: argparse.Namespace) -> int:
     if bool(args.name) == bool(args.scene):
         raise ValueError("pass exactly one of --name or --scene")
-    if args.name:
-        if args.name not in BUILTIN_SCENARIOS:
-            raise ValueError(
-                f"unknown scenario '{args.name}'; built-ins: {', '.join(BUILTIN_SCENARIOS)}"
-            )
-        scenario = builtin_scenario(args.name)
-    else:
-        scenario = load_scenario_file(args.scene)
+    scenario = builtin_scenario(args.name) if args.name else load_scenario_file(args.scene)
     if args.seed is not None:
         scenario = replace(
             scenario, base_scene=replace(scenario.base_scene, rng_seed=args.seed)

@@ -15,7 +15,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Union
+from typing import Iterable, Union
 
 from .classify import (
     Baseline,
@@ -52,6 +52,7 @@ from .throughwall import (
     ApproachTrack,
     MonitorZone,
     OccupancyReport,
+    _trend_status,
     detect_occupancy,
     track_approach,
 )
@@ -191,102 +192,83 @@ def _validate_pipeline(scenario: Scenario) -> None:
         raise ValueError("'throughwall' requires a monitor zone")
 
 
-def _step_scene(scenario: Scenario, index: int, step: ScenarioStep) -> Scene:
-    scene = apply_mutations(scenario.base_scene, step.mutations)
-    # Fresh noise per scan, stable reflector phases across the whole run:
-    # the room does not move between scans, the noise does.
-    return replace(
-        scene,
-        rng_seed=scenario.base_scene.rng_seed + 1 + index,
-        phase_seed=scenario.base_scene.effective_phase_seed,
-    )
-
-
 def run_scenario(scenario: Scenario) -> RunResult:
     """Execute every step through the configured stages.
 
     Any stage failure aborts the run with a ScenarioError naming the step
     index and stage.
     """
+    base = scenario.base_scene
     _validate_pipeline(scenario)
-    validate_scene(scenario.base_scene).raise_if_invalid()
+    validate_scene(base).raise_if_invalid()
 
     baseline: Baseline | None = None
     if "rrm" in scenario.pipeline or "throughwall" in scenario.pipeline:
-        base_beat = synthesize_beat(scenario.base_scene, scenario.chirp)
-        base_profile = range_profile(base_beat, Window.HANN)
+        base_profile = range_profile(synthesize_beat(base, scenario.chirp), Window.HANN)
         baseline = capture_baseline(
             [base_profile], scenario.baseline_hint_m, label=f"{scenario.name}:baseline"
         )
+    # Fresh noise per scan, stable reflector phases across the whole run:
+    # the room does not move between scans, the noise does.
+    scans = (
+        replace(base, rng_seed=base.rng_seed + 1 + i, phase_seed=base.effective_phase_seed)
+        for i in range(len(scenario.steps))
+    )
+    return _run_scans(scenario, baseline, scans)
 
+
+def _run_scans(
+    scenario: Scenario, baseline: Baseline | None, scans: Iterable[Scene]
+) -> RunResult:
+    """Apply each step's mutations to its scan and run the scenario's stages.
+
+    A ValueError from a stage aborts the run with a ScenarioError naming the
+    step index and name and the stage; errors raised while producing the
+    next scan pass through unchanged.
+    """
+    pipeline = scenario.pipeline
     state = INITIAL_STATE
     results: list[StepResult] = []
-    reports: list[OccupancyReport] = []
-    for i, step in enumerate(scenario.steps):
-        def _run(stage: str, fn):
-            try:
-                return fn()
-            except ScenarioError:
-                raise
-            except ValueError as exc:
-                raise ScenarioError(
-                    f"step {i} ('{step.name}') stage '{stage}': {exc}"
-                ) from exc
-
-        scene = _run("profile", lambda: _step_scene(scenario, i, step))
-        _run("profile", lambda: validate_scene(scene).raise_if_invalid())
-        prof = _run(
-            "profile",
-            lambda: range_profile(synthesize_beat(scene, scenario.chirp), Window.HANN),
-        )
-        peaks = tuple(
-            _run(
-                "profile",
-                lambda: detect_peaks(
-                    prof, scenario.detect_min_prominence, scenario.detect_min_rsa
-                ),
+    for i, (step, scan) in enumerate(zip(scenario.steps, scans)):
+        stage = "profile"
+        try:
+            scene = apply_mutations(scan, step.mutations)
+            prof = range_profile(synthesize_beat(scene, scenario.chirp), Window.HANN)
+            peaks = tuple(
+                detect_peaks(prof, scenario.detect_min_prominence, scenario.detect_min_rsa)
             )
-        )
 
-        readings: tuple[tuple[Peak, RrmReading, TargetClass | None], ...] = ()
-        if "rrm" in scenario.pipeline:
-            ref_bin = baseline.reference_feature.bin_index
-            candidates = [
-                p for p in peaks if abs(p.bin_index - ref_bin) > REFERENCE_EXCLUSION_BINS
-            ]
-            entries = []
-            for p in candidates:
-                reading = _run("rrm", lambda p=p: rrm_compensated(p, baseline))
-                cls = None
-                if "classify" in scenario.pipeline:
-                    cls = _run(
-                        "classify", lambda r=reading: classify(r, scenario.bands)
+            readings: list[tuple[Peak, RrmReading, TargetClass | None]] = []
+            if "rrm" in pipeline:
+                ref_bin = baseline.reference_feature.bin_index
+                for p in peaks:
+                    if abs(p.bin_index - ref_bin) <= REFERENCE_EXCLUSION_BINS:
+                        continue
+                    stage = "rrm"
+                    reading = rrm_compensated(p, baseline)
+                    cls = None
+                    if "classify" in pipeline:
+                        stage = "classify"
+                        cls = classify(reading, scenario.bands)
+                    readings.append((p, reading, cls))
+
+            occupancy = None
+            if "throughwall" in pipeline:
+                stage = "throughwall"
+                occupancy = detect_occupancy(baseline, prof, scenario.zone, scan_index=i)
+
+            safety_state = None
+            if "safety" in pipeline:
+                stage = "safety"
+                if "classify" in pipeline:
+                    state = update_tier(
+                        state, [(p, cls) for p, _, cls in readings], scenario.tier_config
                     )
-                entries.append((p, reading, cls))
-            readings = tuple(entries)
-
-        occupancy = None
-        if "throughwall" in scenario.pipeline:
-            occupancy = _run(
-                "throughwall",
-                lambda: detect_occupancy(baseline, prof, scenario.zone, scan_index=i),
-            )
-            reports.append(occupancy)
-
-        safety_state = None
-        if "safety" in scenario.pipeline:
-            if "classify" in scenario.pipeline:
-                state = _run(
-                    "safety",
-                    lambda: update_tier(
-                        state,
-                        [(p, cls) for p, _, cls in readings],
-                        scenario.tier_config,
-                    ),
-                )
-            if occupancy is not None:
-                state = _run("safety", lambda: update_door_policy(state, occupancy))
-            safety_state = state
+                if occupancy is not None:
+                    state = update_door_policy(state, occupancy)
+                safety_state = state
+        except ValueError as exc:
+            raise ScenarioError(f"step {i} ('{step.name}') stage '{stage}': {exc}") from exc
 
         results.append(
             StepResult(
@@ -296,15 +278,14 @@ def run_scenario(scenario: Scenario) -> RunResult:
                 true_range_m=_declared_target_range(step),
                 profile=prof,
                 peaks=peaks,
-                readings=readings,
+                readings=tuple(readings),
                 occupancy=occupancy,
                 safety=safety_state,
             )
         )
 
-    track = None
-    if "throughwall" in scenario.pipeline:
-        track = track_approach(reports, scenario.zone)
+    reports = [r.occupancy for r in results]
+    track = track_approach(reports, scenario.zone) if "throughwall" in pipeline else None
     return RunResult(scenario, baseline, tuple(results), track)
 
 
@@ -440,20 +421,18 @@ def classification_to_csv(result: RunResult) -> str:
 
 
 def monitor_to_csv(result: RunResult) -> str:
-    """scan_index,occupied,range_m,excess_rsa,status with a running status."""
+    """scan_index,occupied,range_m,excess_rsa,status; row k's status is the
+    track_approach status of reports 0..k, computed in one pass."""
     lines = ["scan_index,occupied,range_m,excess_rsa,status"]
-    reports: list[OccupancyReport] = []
-    for step in result.steps:
-        if step.occupancy is None:
-            continue
-        reports.append(step.occupancy)
-        status = track_approach(reports, result.scenario.zone).status.value
-        strongest = step.occupancy.strongest()
-        r = "" if strongest is None else f"{strongest.range_m:.9g}"
-        e = "" if strongest is None else f"{strongest.rsa:.9g}"
-        lines.append(
-            f"{step.occupancy.scan_index},{step.occupancy.occupied},{r},{e},{status}"
-        )
+    reports = [step.occupancy for step in result.steps if step.occupancy is not None]
+    ranges: list[float] = []
+    for report in reports:
+        strongest = report.strongest()
+        if report.occupied:
+            ranges.append(strongest.range_m)
+        status = _trend_status(ranges, reports[0].bin_spacing_m).value
+        r, e = ("", "") if strongest is None else (_fmt(strongest.range_m), _fmt(strongest.rsa))
+        lines.append(f"{report.scan_index},{report.occupied},{r},{e},{status}")
     return "\n".join(lines) + "\n"
 
 

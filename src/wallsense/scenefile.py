@@ -9,7 +9,8 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+import sys
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 from .classify import ClassBands, DEFAULT_BANDS, TargetClass
@@ -68,7 +69,25 @@ def _number(node: dict, key: str, path: str, default=None) -> float:
     value = node[key]
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ValueError(f"{path}.{key}: expected a number, got {value!r}")
+    if not abs(value) <= sys.float_info.max:  # NaN, ±Infinity, or an int beyond any float
+        raise ValueError(f"{path}.{key}: expected a finite number, got {value!r}")
     return float(value)
+
+
+def _integer(node: dict, key: str, path: str, default: int | None) -> int | None:
+    value = node.get(key, default)
+    if value is None and default is None:  # an optional field, unset or null
+        return None
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{path}.{key}: expected an integer, got {value!r}")
+    return value
+
+
+def _boolean(node: dict, key: str, path: str, default: bool) -> bool:
+    value = node.get(key, default)
+    if not isinstance(value, bool):
+        raise ValueError(f"{path}.{key}: expected true or false, got {value!r}")
+    return value
 
 
 def _string(node: dict, key: str, path: str, default=None) -> str:
@@ -133,12 +152,13 @@ def _chirp(doc: dict) -> ChirpConfig:
     if "chirp" not in doc:
         return DEFAULT_CHIRP
     node = _expect_mapping(doc["chirp"], "chirp")
-    return ChirpConfig(
-        center_freq_hz=_number(node, "center_freq_hz", "chirp", DEFAULT_CHIRP.center_freq_hz),
-        bandwidth_hz=_number(node, "bandwidth_hz", "chirp", DEFAULT_CHIRP.bandwidth_hz),
-        sweep_time_s=_number(node, "sweep_time_s", "chirp", DEFAULT_CHIRP.sweep_time_s),
-        sample_rate_hz=_number(node, "sample_rate_hz", "chirp", DEFAULT_CHIRP.sample_rate_hz),
-    )
+    values = {}
+    for f in fields(ChirpConfig):
+        value = _number(node, f.name, "chirp", getattr(DEFAULT_CHIRP, f.name))
+        if value <= 0:
+            raise ValueError(f"chirp.{f.name}: expected a positive number, got {value!r}")
+        values[f.name] = value
+    return ChirpConfig(**values)
 
 
 def _scene(doc: dict) -> Scene:
@@ -151,16 +171,13 @@ def _scene(doc: dict) -> Scene:
         _wall(w, f"scene.walls[{i}]")
         for i, w in enumerate(_expect_list(node.get("walls", []), "scene.walls"))
     )
-    phase_seed = node.get("phase_seed")
-    if phase_seed is not None and not isinstance(phase_seed, int):
-        raise ValueError(f"scene.phase_seed: expected an integer, got {phase_seed!r}")
     return Scene(
         scatterers=scatterers,
         walls=walls,
         max_range_m=_number(node, "max_range_m", "scene", 8.0),
         noise_amplitude=_number(node, "noise_amplitude", "scene", 0.0),
-        rng_seed=int(_number(node, "rng_seed", "scene", 0)),
-        phase_seed=phase_seed,
+        rng_seed=_integer(node, "rng_seed", "scene", 0),
+        phase_seed=_integer(node, "phase_seed", "scene", None),
     )
 
 
@@ -186,7 +203,7 @@ def _zone(doc: dict) -> MonitorZone | None:
         near_m=_number(z, "near_m", "monitor.zone"),
         far_m=_number(z, "far_m", "monitor.zone"),
         excess_threshold=_number(z, "excess_threshold", "monitor.zone", 0.01),
-        guard_bins=int(_number(z, "guard_bins", "monitor.zone", 2)),
+        guard_bins=_integer(z, "guard_bins", "monitor.zone", 2),
     )
 
 
@@ -204,7 +221,7 @@ def _tiers(doc: dict) -> TierConfig:
         slow_range_m=_number(t, "slow_range_m", "safety.tiers", default.slow_range_m),
         slow_speed_cap=_number(t, "slow_speed_cap", "safety.tiers", default.slow_speed_cap),
         hysteresis_m=_number(t, "hysteresis_m", "safety.tiers", default.hysteresis_m),
-        treat_unknown_as_human=bool(t.get("treat_unknown_as_human", False)),
+        treat_unknown_as_human=_boolean(t, "treat_unknown_as_human", "safety.tiers", False),
     )
 
 
@@ -238,6 +255,25 @@ def load_scene_config(path: str | Path) -> SceneConfig:
     return parse_scene_config(_expect_mapping(doc, str(path)))
 
 
+def scenario_from_config(
+    cfg: SceneConfig, name: str, steps: tuple[ScenarioStep, ...], pipeline: tuple[str, ...]
+) -> Scenario:
+    """A scenario over cfg's scene that takes every other setting from cfg."""
+    return Scenario(
+        name=name,
+        base_scene=cfg.scene,
+        steps=steps,
+        pipeline=pipeline,
+        chirp=cfg.chirp,
+        baseline_hint_m=cfg.baseline_hint_m,
+        bands=cfg.bands if cfg.bands is not None else DEFAULT_BANDS,
+        zone=cfg.zone,
+        tier_config=cfg.tier_config,
+        detect_min_rsa=cfg.detect_min_rsa,
+        detect_min_prominence=cfg.detect_min_prominence,
+    )
+
+
 def _mutation(node, path: str) -> Mutation:
     m = _expect_mapping(node, path)
     op = _string(m, "op", path)
@@ -269,19 +305,8 @@ def parse_scenario(doc: dict) -> Scenario:
     for i, stage in enumerate(raw_pipeline):
         if not isinstance(stage, str):
             raise ValueError(f"scenario.pipeline[{i}]: expected a string, got {stage!r}")
-    pipeline = tuple(raw_pipeline)
-    return Scenario(
-        name=_string(node, "name", "scenario"),
-        base_scene=cfg.scene,
-        steps=tuple(steps),
-        pipeline=pipeline,
-        chirp=cfg.chirp,
-        baseline_hint_m=cfg.baseline_hint_m,
-        bands=cfg.bands if cfg.bands is not None else DEFAULT_BANDS,
-        zone=cfg.zone,
-        tier_config=cfg.tier_config,
-        detect_min_rsa=cfg.detect_min_rsa,
-        detect_min_prominence=cfg.detect_min_prominence,
+    return scenario_from_config(
+        cfg, _string(node, "name", "scenario"), tuple(steps), tuple(raw_pipeline)
     )
 
 

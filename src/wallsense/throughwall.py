@@ -110,27 +110,34 @@ def detect_occupancy(
     )
 
 
+def _trend_status(ranges: Sequence[float], spacing: float) -> ApproachStatus:
+    """The approach rule over the occupied-scan ranges seen so far.
+
+    The last TREND_SCANS samples must move by more than one bin spacing per
+    scan, consistently, to call Approaching or Receding; otherwise an
+    occupied zone is Static.
+    """
+    if not ranges:
+        return ApproachStatus.EMPTY
+    tail = ranges[-TREND_SCANS:]
+    if len(tail) == TREND_SCANS:
+        deltas = [b - a for a, b in zip(tail, tail[1:])]
+        if all(d < -spacing for d in deltas):
+            return ApproachStatus.APPROACHING
+        if all(d > spacing for d in deltas):
+            return ApproachStatus.RECEDING
+    return ApproachStatus.STATIC
+
+
 def track_approach(reports: Sequence[OccupancyReport], zone: MonitorZone) -> ApproachTrack:
     """Summarize motion from an ordered run of occupancy reports.
 
-    The strongest detection per occupied scan gives one range sample. The
-    last TREND_SCANS samples must move by more than one bin spacing per
-    scan, consistently, to call Approaching or Receding; otherwise an
-    occupied zone is Static.
+    The strongest detection per occupied scan gives one range sample, and
+    the trend rule compares them in the first report's bin spacing.
     """
     indices = [r.scan_index for r in reports]
     if indices != sorted(indices):
         raise ValueError("reports must be ordered by scan_index")
     ranges = [r.strongest().range_m for r in reports if r.occupied]
-    if not ranges:
-        return ApproachTrack(ApproachStatus.EMPTY, ())
-    status = ApproachStatus.STATIC
-    if len(ranges) >= TREND_SCANS:
-        spacing = reports[0].bin_spacing_m
-        tail = ranges[-TREND_SCANS:]
-        deltas = [b - a for a, b in zip(tail, tail[1:])]
-        if all(d < -spacing for d in deltas):
-            status = ApproachStatus.APPROACHING
-        elif all(d > spacing for d in deltas):
-            status = ApproachStatus.RECEDING
-    return ApproachTrack(status, tuple(ranges))
+    spacing = reports[0].bin_spacing_m if reports else 0.0
+    return ApproachTrack(_trend_status(ranges, spacing), tuple(ranges))

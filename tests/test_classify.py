@@ -13,6 +13,7 @@ from wallsense import (
     Peak,
     RangeProfile,
     Scatterer,
+    SHEET_METAL,
     Scene,
     TargetClass,
     Wall,
@@ -87,6 +88,21 @@ class TestCaptureBaseline:
     def test_rejects_empty_input(self):
         with pytest.raises(ValueError, match="at least one profile"):
             capture_baseline([], 6.0)
+
+    def test_no_hint_anchors_on_the_strongest_peak(self):
+        scene = Scene(
+            scatterers=(Scatterer("plate", 2.0, SHEET_METAL),),
+            walls=(Wall("back", 6.0, LAB_WALL),),
+        )
+        prof = range_profile(synthesize_beat(scene, DEFAULT_CHIRP))
+        base = capture_baseline([prof], None)
+        assert base.reference_feature.rsa == prof.rsa.max()
+        assert base.reference_feature == capture_baseline([prof], 2.0).reference_feature
+
+    def test_no_hint_and_no_peaks(self):
+        prof = range_profile(synthesize_beat(Scene(), DEFAULT_CHIRP))
+        with pytest.raises(ValueError, match="baseline profile has no peaks to anchor on"):
+            capture_baseline([prof], None)
 
     def test_label_flows_into_readings(self):
         base = capture_baseline([_wall_profile()], 6.0, label="lab north wall")

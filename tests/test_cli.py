@@ -2,6 +2,7 @@ import json
 import math
 import shutil
 import subprocess
+import types
 
 import pytest
 
@@ -77,6 +78,12 @@ class TestParserBasics:
         capsys.readouterr()
         assert scene_path.read_bytes() == before
 
+    def test_star_import_binds_no_modules(self):
+        namespace = {}
+        exec("from wallsense import *", namespace)
+        assert not [k for k, v in namespace.items() if isinstance(v, types.ModuleType)]
+        assert "run_scenario" in namespace
+
     def test_installed_entry_point(self):
         assert shutil.which("wallsense"), "console script not on PATH"
         proc = subprocess.run(
@@ -125,6 +132,21 @@ class TestSimulate:
         path.write_text("{not json")
         assert main(["simulate", "--scene", str(path), "--out", str(tmp_path / "out")]) == 1
         assert "malformed JSON" in capsys.readouterr().err
+
+    def test_zero_bandwidth_exits_1_naming_the_field(self, tmp_path, capsys):
+        scene = _write_doc(tmp_path, "scene.json", dict(HUMAN_ROOM, chirp={"bandwidth_hz": 0}))
+        assert main(["simulate", "--scene", scene, "--out", str(tmp_path / "out")]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: chirp.bandwidth_hz: ")
+
+    def test_nan_max_range_exits_1_naming_the_field(self, tmp_path, capsys):
+        doc = {"scene": dict(HUMAN_ROOM["scene"], max_range_m=math.nan)}
+        scene = _write_doc(tmp_path, "scene.json", doc)
+        assert main(["simulate", "--scene", scene, "--out", str(tmp_path / "out")]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: scene.max_range_m: ")
 
 
 class TestClassify:
@@ -209,6 +231,19 @@ class TestMonitor:
                      "--out", str(tmp_path / "o")])
         assert code == 1
         assert "--zone expects" in capsys.readouterr().err
+
+    def test_stage_failure_names_step_and_stage(self, tmp_path, capsys):
+        base = _write_doc(tmp_path, "base.json", dict(PARTITION, baseline={"feature_range_hint": 2.6}))
+        empty = _write_doc(tmp_path, "scan0.json", {"scene": PARTITION["scene"]})
+        code = main(["monitor", "--baseline", base, "--scene", empty, "--zone", "1.0,1.1",
+                     "--out", str(tmp_path / "o")])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: step 0 ('{empty}') stage 'throughwall': "
+            "guard bins consume the whole zone (1.0, 1.1)\n"
+        )
 
 
 class TestScenario:

@@ -81,6 +81,11 @@ DOCS = {
     "noisy_empty.json": {"scene": {"walls": [WALL6], "noise_amplitude": 2e-3, "rng_seed": 4,
                                    "phase_seed": 17},
                          "baseline": {"feature_range_hint": 6.0}},
+    # Plates 4 and 3 bins in front of the 6 m wall (bin 80): the rrm stage
+    # keeps the first and skips the second as the reference itself.
+    **{f"plate_{b}_bins.json": {"scene": {
+        "scatterers": [_person(2.0), dict(_sheet(r), id="plate")], "walls": [WALL6]}}
+       for b, r in ((4, 5.6961), (3, 5.771))},
     "hintless_empty.json": {"scene": {"walls": [WALL6], "phase_seed": 17}},
     "nothing.json": {"scene": {}},
     "wrong_hint.json": {"scene": {"walls": [WALL6]}, "baseline": {"feature_range_hint": 3.0}},
@@ -153,6 +158,10 @@ CASES = {
                              "noisy_empty.json", "--bands", "bands.json"],
     "classify_noisy_hintless": ["classify", "--scene", "noisy_room.json", "--baseline",
                                 "hintless_empty.json"],
+    "classify_plate_4_bins_from_reference": ["classify", "--scene", "plate_4_bins.json",
+                                             "--baseline", "empty_room.json"],
+    "classify_plate_3_bins_from_reference": ["classify", "--scene", "plate_3_bins.json",
+                                             "--baseline", "empty_room.json"],
     "classify_baseline_without_peaks": ["classify", "--scene", "human_room.json", "--baseline",
                                         "nothing.json"],
     "classify_hint_misses": ["classify", "--scene", "human_room.json", "--baseline",
@@ -219,6 +228,8 @@ GOLDEN = {
     "classify_noisy_bands": "85b4bc609fe2f940",
     "classify_noisy_hintless": "eae8e4e60de152b3",
     "classify_noisy_seed": "173ebbd95e248acf",
+    "classify_plate_3_bins_from_reference": "04a85c6872c82fe7",
+    "classify_plate_4_bins_from_reference": "47faee7166d61338",
     "monitor_bad_zone_flag": "81e15629e0a14747",
     "monitor_cli_docs": "331a28132a1f1fe1",
     "monitor_guard_bins_fill_zone": "93a9bfeb9c3c50ba",

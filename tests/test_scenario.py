@@ -1,4 +1,9 @@
+from dataclasses import replace
+from types import SimpleNamespace
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wallsense import (
     DEFAULT_BANDS,
@@ -9,6 +14,8 @@ from wallsense import (
     ApproachStatus,
     MonitorZone,
     MoveScatterer,
+    OccupancyReport,
+    Peak,
     RemoveScatterer,
     SafetyTier,
     Scatterer,
@@ -23,8 +30,10 @@ from wallsense import (
     run_scenario,
     summarize,
     summary_to_csv,
+    track_approach,
     write_run_result,
 )
+from wallsense.scenario import monitor_to_csv
 
 BACK_WALL = Wall("back", 6.0, LAB_WALL)
 
@@ -299,3 +308,47 @@ class TestWriters:
             assert [p.name for p in a] == [p.name for p in b]
             for pa, pb in zip(a, b):
                 assert pa.read_bytes() == pb.read_bytes()
+
+
+def _prefix_statuses(reports, zone):
+    """Oracle: the running status as first defined, track_approach over every prefix."""
+    return [track_approach(reports[: k + 1], zone).status.value for k in range(len(reports))]
+
+
+def _csv_statuses(result):
+    return [line.rsplit(",", 1)[1] for line in monitor_to_csv(result).splitlines()[1:]]
+
+
+class TestMonitorRunningStatus:
+    def test_one_pass_status_equals_prefix_tracking(self):
+        base = builtin_scenario("copper_traverse")
+        positions = [None, 2.2, 1.9, 1.6, 1.3, 1.3, None, 1.6, 1.9, 2.2, None, 1.0]
+        steps = [
+            ScenarioStep(f"scan_{i}", () if r is None else (
+                AddScatterer(Scatterer("sheet", r, SHEET_METAL, extent_m=(0.3, 0.3))),
+            ))
+            for i, r in enumerate(positions)
+        ]
+        result = run_scenario(replace(base, steps=tuple(steps)))
+        reports = [s.occupancy for s in result.steps]
+        want = _prefix_statuses(reports, base.zone)
+        assert set(want) == {"Empty", "Static", "Approaching", "Receding"}
+        assert _csv_statuses(result) == want
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(st.one_of(st.none(), st.floats(0.2, 2.4)), max_size=12),
+        st.floats(0.01, 0.3),
+    )
+    def test_one_pass_status_equals_prefix_tracking_on_any_run(self, ranges, spacing):
+        reports = [
+            OccupancyReport(
+                r is not None,
+                () if r is None else (Peak(r, 0.05, 0.05, round(r / spacing)),),
+                i,
+                spacing,
+            )
+            for i, r in enumerate(ranges)
+        ]
+        result = SimpleNamespace(steps=[SimpleNamespace(occupancy=r) for r in reports])
+        assert _csv_statuses(result) == _prefix_statuses(reports, MonitorZone(0.1, 2.6))

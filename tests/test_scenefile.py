@@ -129,6 +129,56 @@ class TestParseSceneConfig:
         assert load_scene_config(path) == parse_scene_config(FULL_DOC)
 
 
+class TestStrictFields:
+    @pytest.mark.parametrize(
+        "field", ["center_freq_hz", "bandwidth_hz", "sweep_time_s", "sample_rate_hz"]
+    )
+    @pytest.mark.parametrize("value", [0, -1.0])
+    def test_chirp_fields_must_be_positive(self, field, value):
+        with pytest.raises(ValueError, match=rf"chirp\.{field}: expected a positive number"):
+            parse_scene_config({"chirp": {field: value}})
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_numbers_are_rejected(self, value):
+        with pytest.raises(ValueError, match=r"scene\.max_range_m: expected a finite number"):
+            parse_scene_config({"scene": {"max_range_m": value}})
+        with pytest.raises(ValueError, match=r"chirp\.bandwidth_hz: expected a finite number"):
+            parse_scene_config({"chirp": {"bandwidth_hz": value}})
+
+    def test_integer_too_large_for_a_float_is_rejected(self):
+        with pytest.raises(ValueError, match=r"scene\.max_range_m: expected a finite number"):
+            parse_scene_config({"scene": {"max_range_m": 10**400}})
+
+    def test_json_nan_literal_is_rejected(self, tmp_path):
+        path = tmp_path / "scene.json"
+        path.write_text('{"scene": {"max_range_m": NaN}}')
+        with pytest.raises(ValueError, match=r"scene\.max_range_m"):
+            load_scene_config(path)
+
+    def test_rng_seed_must_be_an_integer(self):
+        with pytest.raises(ValueError, match=r"scene\.rng_seed: expected an integer, got 1\.7"):
+            parse_scene_config({"scene": {"rng_seed": 1.7}})
+
+    def test_guard_bins_must_be_an_integer(self):
+        doc = {"monitor": {"zone": {"near_m": 0.1, "far_m": 2.6, "guard_bins": 2.5}}}
+        with pytest.raises(ValueError, match=r"monitor\.zone\.guard_bins: expected an integer"):
+            parse_scene_config(doc)
+
+    def test_phase_seed_rejects_booleans(self):
+        with pytest.raises(ValueError, match=r"scene\.phase_seed: expected an integer, got True"):
+            parse_scene_config({"scene": {"phase_seed": True}})
+
+    def test_treat_unknown_as_human_must_be_a_boolean(self):
+        doc = {"safety": {"tiers": {"treat_unknown_as_human": "false"}}}
+        with pytest.raises(
+            ValueError, match=r"safety\.tiers\.treat_unknown_as_human: expected true or false"
+        ):
+            parse_scene_config(doc)
+
+    def test_null_phase_seed_means_unset(self):
+        assert parse_scene_config({"scene": {"phase_seed": None}}).scene.phase_seed is None
+
+
 class TestParseScenario:
     def _doc(self, **scenario):
         base = {
