@@ -53,9 +53,9 @@ def main():
             target = max(
                 (p for p in peaks if abs(p.range_m - r) < 0.5), key=lambda p: p.rsa
             )
-            reading = rrm_compensated(target, baseline)
-            cls = classify(reading, DEFAULT_BANDS)
-            print(f"  {label:<16}  {r:6.2f}  {reading.rrm:7.3f}  {cls}")
+            ratio = rrm_compensated(target, baseline)
+            cls = classify(ratio, DEFAULT_BANDS)
+            print(f"  {label:<16}  {r:6.2f}  {ratio:7.3f}  {cls}")
     print()
     print(f"bands: infrastructure <= {DEFAULT_BANDS.infrastructure_max:.3f}"
           f" < human <= {DEFAULT_BANDS.human_max:.3f} < metallic")

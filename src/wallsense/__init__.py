@@ -20,7 +20,6 @@ from .scene import (
     Scatterer,
     Scene,
     TargetKind,
-    ValidationReport,
     Wall,
     effective_amplitude,
     validate_scene,
@@ -42,7 +41,6 @@ from .profile import (
     bin_spacing_m,
     detect_peaks,
     find_peaks_in_series,
-    naive_spectrum,
     profile_to_csv,
     range_profile,
 )
@@ -50,7 +48,6 @@ from .classify import (
     DEFAULT_BANDS,
     Baseline,
     ClassBands,
-    RrmReading,
     TargetClass,
     calibrate_bands,
     capture_baseline,

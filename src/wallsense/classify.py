@@ -66,13 +66,6 @@ class Baseline:
     label: str = "baseline"
 
 
-@dataclass(frozen=True)
-class RrmReading:
-    target_peak: Peak
-    rrm: float
-    baseline_label: str
-
-
 def capture_baseline(
     profiles: Sequence[RangeProfile],
     feature_range_hint_m: float | None,
@@ -113,42 +106,36 @@ def capture_baseline(
     return Baseline(averaged, max(near, key=lambda p: p.rsa), label)
 
 
-def rrm(target_peak: Peak, baseline: Baseline) -> RrmReading:
+def rrm(target_peak: Peak, baseline: Baseline) -> float:
     """Plain amplitude ratio of a target peak to the baseline reference."""
     ref = baseline.reference_feature.rsa
     if ref <= 0:
         raise ValueError(f"baseline reference rsa must be > 0, got {ref}")
     if target_peak.rsa <= 0:
         raise ValueError(f"target peak rsa must be > 0, got {target_peak.rsa}")
-    return RrmReading(target_peak, target_peak.rsa / ref, baseline.label)
+    return target_peak.rsa / ref
 
 
-def compensate_spreading(peak: Peak, reference_range_m: float = REFERENCE_RANGE_M) -> Peak:
+def compensate_spreading(peak: Peak) -> Peak:
     """Undo inverse-square spreading so peaks at different ranges compare.
 
-    Returns a copy with rsa (and prominence) scaled by (range/r0)^2; the
-    result approximates the bare reflectivity ratio the classifier bands
-    were drawn for. Raw profiles keep their spreading; only classification
-    looks at compensated values.
+    Returns a copy with rsa (and prominence) scaled by (range/r0)^2, r0
+    being REFERENCE_RANGE_M; the result approximates the bare reflectivity
+    ratio the classifier bands were drawn for. Raw profiles keep their
+    spreading; only classification looks at compensated values.
     """
-    gain = (peak.range_m / reference_range_m) ** 2
+    gain = (peak.range_m / REFERENCE_RANGE_M) ** 2
     return Peak(peak.range_m, peak.rsa * gain, peak.prominence * gain, peak.bin_index)
 
 
-def rrm_compensated(target_peak: Peak, baseline: Baseline) -> RrmReading:
-    """rrm of spreading-compensated target vs spreading-compensated reference.
-
-    The returned reading keeps the raw target peak; only the ratio uses
-    compensated amplitudes.
-    """
-    comp = rrm(compensate_spreading(target_peak), baseline)
+def rrm_compensated(target_peak: Peak, baseline: Baseline) -> float:
+    """rrm of spreading-compensated target vs spreading-compensated reference."""
     ref_gain = (baseline.reference_feature.range_m / REFERENCE_RANGE_M) ** 2
-    return RrmReading(target_peak, comp.rrm / ref_gain, baseline.label)
+    return rrm(compensate_spreading(target_peak), baseline) / ref_gain
 
 
-def classify(reading: RrmReading | float, bands: ClassBands = DEFAULT_BANDS) -> TargetClass:
+def classify(value: float, bands: ClassBands = DEFAULT_BANDS) -> TargetClass:
     """Map an rrm value onto the three-way class bands."""
-    value = reading.rrm if isinstance(reading, RrmReading) else float(reading)
     if value <= 0:
         raise ValueError(f"rrm must be > 0, got {value}")
     if value <= bands.infrastructure_max:

@@ -94,22 +94,6 @@ def range_profile(beat: BeatSignal, window: Window = Window.HANN) -> RangeProfil
     return RangeProfile(_bin_ranges(beat.chirp), spectrum, beat.chirp)
 
 
-def naive_spectrum(beat: BeatSignal) -> RangeProfile:
-    """Reference implementation of range_profile with the RECT window.
-
-    Evaluates the direct O(n^2) Fourier sum bin by bin instead of an FFT.
-    Exists solely as an independent oracle for tests; do not use it for
-    anything large.
-    """
-    x = beat.samples
-    n = len(x)
-    idx = np.arange(n)
-    mags = np.empty(n // 2)
-    for k in range(n // 2):
-        mags[k] = np.abs(np.dot(x, np.exp(-2j * np.pi * k * idx / n)))
-    return RangeProfile(_bin_ranges(beat.chirp), mags * (2.0 / n), beat.chirp)
-
-
 def _plateau_maxima(values: np.ndarray) -> list[int]:
     """Indices of local maxima; plateaus resolve to their lowest index.
 

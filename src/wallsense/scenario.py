@@ -21,7 +21,6 @@ from .classify import (
     Baseline,
     ClassBands,
     DEFAULT_BANDS,
-    RrmReading,
     TargetClass,
     capture_baseline,
     classify,
@@ -116,12 +115,12 @@ class StepResult:
     true_range_m: float | None
     profile: RangeProfile
     peaks: tuple[Peak, ...]
-    # One entry per non-reference peak: (peak, reading, class or None).
-    readings: tuple[tuple[Peak, RrmReading, TargetClass | None], ...]
+    # One entry per non-reference peak: (peak, rrm, class or None).
+    readings: tuple[tuple[Peak, float, TargetClass | None], ...]
     occupancy: OccupancyReport | None
     safety: SafetyState | None
 
-    def target(self) -> tuple[Peak, RrmReading, TargetClass | None] | None:
+    def target(self) -> tuple[Peak, float, TargetClass | None] | None:
         """Strongest non-reference peak; the step's presumed subject."""
         if not self.readings:
             return None
@@ -200,7 +199,7 @@ def run_scenario(scenario: Scenario) -> RunResult:
     """
     base = scenario.base_scene
     _validate_pipeline(scenario)
-    validate_scene(base).raise_if_invalid()
+    validate_scene(base)
 
     baseline: Baseline | None = None
     if "rrm" in scenario.pipeline or "throughwall" in scenario.pipeline:
@@ -238,19 +237,19 @@ def _run_scans(
                 detect_peaks(prof, scenario.detect_min_prominence, scenario.detect_min_rsa)
             )
 
-            readings: list[tuple[Peak, RrmReading, TargetClass | None]] = []
+            readings: list[tuple[Peak, float, TargetClass | None]] = []
             if "rrm" in pipeline:
                 ref_bin = baseline.reference_feature.bin_index
                 for p in peaks:
                     if abs(p.bin_index - ref_bin) <= REFERENCE_EXCLUSION_BINS:
                         continue
                     stage = "rrm"
-                    reading = rrm_compensated(p, baseline)
+                    ratio = rrm_compensated(p, baseline)
                     cls = None
                     if "classify" in pipeline:
                         stage = "classify"
-                        cls = classify(reading, scenario.bands)
-                    readings.append((p, reading, cls))
+                        cls = classify(ratio, scenario.bands)
+                    readings.append((p, ratio, cls))
 
             occupancy = None
             if "throughwall" in pipeline:
@@ -302,10 +301,8 @@ def summarize(result: RunResult) -> list[SummaryRow]:
         if target is None:
             rows.append(SummaryRow(step.name, step.true_range_m, None, None, None))
         else:
-            peak, reading, cls = target
-            rows.append(
-                SummaryRow(step.name, step.true_range_m, peak.range_m, reading.rrm, cls)
-            )
+            peak, ratio, cls = target
+            rows.append(SummaryRow(step.name, step.true_range_m, peak.range_m, ratio, cls))
     return rows
 
 
@@ -355,13 +352,7 @@ def _copper_traverse() -> Scenario:
             f"position_{tag}",
             (
                 AddScatterer(
-                    Scatterer(
-                        "copper_sheet",
-                        r,
-                        SHEET_METAL,
-                        TargetKind.METAL_SHEET,
-                        extent_m=(0.3, 0.3),
-                    )
+                    Scatterer("copper_sheet", r, SHEET_METAL, TargetKind.METAL_SHEET)
                 ),
             ),
         )
@@ -412,9 +403,9 @@ def summary_to_csv(result: RunResult) -> str:
 def classification_to_csv(result: RunResult) -> str:
     lines = ["peak_range_m,rsa,rrm,class"]
     for step in result.steps:
-        for peak, reading, cls in step.readings:
+        for peak, ratio, cls in step.readings:
             lines.append(
-                f"{peak.range_m:.9g},{peak.rsa:.9g},{reading.rrm:.9g},"
+                f"{peak.range_m:.9g},{peak.rsa:.9g},{ratio:.9g},"
                 f"{'' if cls is None else str(cls)}"
             )
     return "\n".join(lines) + "\n"

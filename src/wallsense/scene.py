@@ -9,7 +9,7 @@ reproducible.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 # Range at which a reflector's return equals its bare reflectivity.
@@ -43,8 +43,8 @@ MATERIAL_PRESETS = {
 class TargetKind(Enum):
     """Ground-truth tag carried by scatterers.
 
-    Metadata only: tests and scenario summaries read it, the detection
-    pipeline never does.
+    Metadata only: documents and tests set it, and no pipeline stage or
+    writer reads it.
     """
 
     HUMAN = "human"
@@ -61,7 +61,6 @@ class Scatterer:
     range_m: float
     material: Material
     kind: TargetKind = TargetKind.GENERIC
-    extent_m: tuple[float, float] | None = None  # informational physical size
 
 
 @dataclass(frozen=True)
@@ -100,23 +99,9 @@ class Scene:
         return (*self.walls, *self.scatterers)
 
 
-@dataclass
-class ValidationReport:
-    """Outcome of validate_scene: empty violations means the scene is usable."""
-
-    violations: list[str] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-    def raise_if_invalid(self) -> None:
-        if self.violations:
-            raise ValueError("; ".join(self.violations))
-
-
 def _check_material(owner: str, material: Material, out: list[str]) -> None:
-    if material.reflectivity < 0:
+    # Each check is written so that NaN fails it.
+    if not material.reflectivity >= 0:
         out.append(f"{owner}: material.reflectivity must be >= 0, got {material.reflectivity}")
     if not 0.0 <= material.transmissivity <= 1.0:
         out.append(
@@ -124,36 +109,33 @@ def _check_material(owner: str, material: Material, out: list[str]) -> None:
         )
 
 
-def validate_scene(scene: Scene) -> ValidationReport:
+def _check_range(owner: str, range_m: float, max_range_m: float, out: list[str]) -> None:
+    if not range_m > 0:
+        out.append(f"{owner}: range_m must be > 0, got {range_m}")
+    elif not range_m < max_range_m:
+        out.append(f"{owner} at {range_m} m is out of bounds (max_range_m {max_range_m})")
+
+
+def validate_scene(scene: Scene) -> None:
     """Check ranges, ordering, and material coefficients.
 
-    Returns a report rather than raising so callers can surface every
-    problem at once.
+    Raises one ValueError listing every problem, joined by "; ", so callers
+    see them all at once. NaN fails every numeric check.
     """
     v: list[str] = []
-    if scene.max_range_m <= 0:
+    if not scene.max_range_m > 0:
         v.append(f"scene.max_range_m must be > 0, got {scene.max_range_m}")
-    if scene.noise_amplitude < 0:
+    if not scene.noise_amplitude >= 0:
         v.append(f"scene.noise_amplitude must be >= 0, got {scene.noise_amplitude}")
 
     for s in scene.scatterers:
         owner = f"scatterer '{s.id}'"
-        if s.range_m <= 0:
-            v.append(f"{owner}: range_m must be > 0, got {s.range_m}")
-        elif s.range_m >= scene.max_range_m:
-            v.append(
-                f"{owner} at {s.range_m} m is out of bounds (max_range_m {scene.max_range_m})"
-            )
+        _check_range(owner, s.range_m, scene.max_range_m, v)
         _check_material(owner, s.material, v)
 
     for w in scene.walls:
         owner = f"wall '{w.id}'"
-        if w.range_m <= 0:
-            v.append(f"{owner}: range_m must be > 0, got {w.range_m}")
-        elif w.range_m >= scene.max_range_m:
-            v.append(
-                f"{owner} at {w.range_m} m is out of bounds (max_range_m {scene.max_range_m})"
-            )
+        _check_range(owner, w.range_m, scene.max_range_m, v)
         _check_material(owner, w.material, v)
 
     ranges = [w.range_m for w in scene.walls]
@@ -170,7 +152,8 @@ def validate_scene(scene: Scene) -> ValidationReport:
     for rid in sorted({i for i in ids if ids.count(i) > 1}):
         v.append(f"duplicate reflector id '{rid}'")
 
-    return ValidationReport(v)
+    if v:
+        raise ValueError("; ".join(v))
 
 
 def effective_amplitude(scene: Scene, target: Scatterer | Wall) -> float:

@@ -61,6 +61,20 @@ def _expect_list(node, path: str) -> list:
     return node
 
 
+def _section(doc: dict, *keys: str) -> dict | None:
+    """The object at doc[keys[0]][keys[1]]..., or None if a key is absent.
+
+    Only an absent key means "not configured"; any other value that is not
+    an object, null and [] included, is an error naming its path.
+    """
+    node = doc
+    for depth, key in enumerate(keys):
+        if key not in node:
+            return None
+        node = _expect_mapping(node[key], ".".join(keys[: depth + 1]))
+    return node
+
+
 def _number(node: dict, key: str, path: str, default=None) -> float:
     if key not in node:
         if default is not None:
@@ -124,18 +138,11 @@ def _scatterer(node, path: str) -> Scatterer:
         kind = TargetKind(kind_name)
     except ValueError:
         raise ValueError(f"{path}.kind: unknown kind '{kind_name}'") from None
-    extent = None
-    if "extent_m" in m:
-        raw = _expect_list(m["extent_m"], f"{path}.extent_m")
-        if len(raw) != 2:
-            raise ValueError(f"{path}.extent_m: expected [width, height]")
-        extent = (float(raw[0]), float(raw[1]))
     return Scatterer(
         id=_string(m, "id", path),
         range_m=_number(m, "range_m", path),
         material=_material(m.get("material", "human"), f"{path}.material"),
         kind=kind,
-        extent_m=extent,
     )
 
 
@@ -149,9 +156,9 @@ def _wall(node, path: str) -> Wall:
 
 
 def _chirp(doc: dict) -> ChirpConfig:
-    if "chirp" not in doc:
+    node = _section(doc, "chirp")
+    if node is None:
         return DEFAULT_CHIRP
-    node = _expect_mapping(doc["chirp"], "chirp")
     values = {}
     for f in fields(ChirpConfig):
         value = _number(node, f.name, "chirp", getattr(DEFAULT_CHIRP, f.name))
@@ -182,23 +189,14 @@ def _scene(doc: dict) -> Scene:
 
 
 def _bands(doc: dict) -> ClassBands | None:
-    classifier = doc.get("classifier")
-    if not classifier:
-        return None
-    node = _expect_mapping(classifier, "classifier")
-    if "bands" not in node:
-        return None
-    return bands_from_mapping(_expect_mapping(node["bands"], "classifier.bands"), "classifier.bands")
+    node = _section(doc, "classifier", "bands")
+    return None if node is None else bands_from_mapping(node, "classifier.bands")
 
 
 def _zone(doc: dict) -> MonitorZone | None:
-    monitor = doc.get("monitor")
-    if not monitor:
+    z = _section(doc, "monitor", "zone")
+    if z is None:
         return None
-    node = _expect_mapping(monitor, "monitor")
-    if "zone" not in node:
-        return None
-    z = _expect_mapping(node["zone"], "monitor.zone")
     return MonitorZone(
         near_m=_number(z, "near_m", "monitor.zone"),
         far_m=_number(z, "far_m", "monitor.zone"),
@@ -208,14 +206,10 @@ def _zone(doc: dict) -> MonitorZone | None:
 
 
 def _tiers(doc: dict) -> TierConfig:
-    safety = doc.get("safety")
-    if not safety:
-        return TierConfig()
-    node = _expect_mapping(safety, "safety")
-    if "tiers" not in node:
-        return TierConfig()
-    t = _expect_mapping(node["tiers"], "safety.tiers")
+    t = _section(doc, "safety", "tiers")
     default = TierConfig()
+    if t is None:
+        return default
     return TierConfig(
         stop_range_m=_number(t, "stop_range_m", "safety.tiers", default.stop_range_m),
         slow_range_m=_number(t, "slow_range_m", "safety.tiers", default.slow_range_m),
@@ -226,11 +220,8 @@ def _tiers(doc: dict) -> TierConfig:
 
 
 def _baseline_hint(doc: dict) -> float | None:
-    baseline = doc.get("baseline")
-    if not baseline:
-        return None
-    node = _expect_mapping(baseline, "baseline")
-    if "feature_range_hint" not in node:
+    node = _section(doc, "baseline")
+    if node is None or "feature_range_hint" not in node:
         return None
     return _number(node, "feature_range_hint", "baseline")
 

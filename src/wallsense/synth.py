@@ -19,6 +19,9 @@ from .scene import Scene, effective_amplitude, validate_scene
 SPEED_OF_LIGHT_M_S = 299_792_458.0
 
 MIN_SAMPLES = 16
+# 512 KiB per float64 array. At the default 2 GHz sweep 2**16 samples
+# reach 2.4 km, where the default 1000 reach 37 m.
+MAX_SAMPLES = 2**16
 
 
 @dataclass(frozen=True)
@@ -98,28 +101,29 @@ def reflector_phase(phase_seed: int, reflector_id: str) -> float:
     return int.from_bytes(digest[:8], "big") / 2.0**64 * 2.0 * math.pi
 
 
-def synthesize_beat(
-    scene: Scene,
-    chirp: ChirpConfig = DEFAULT_CHIRP,
-    range_bias_m: float = 0.0,
-) -> BeatSignal:
+def synthesize_beat(scene: Scene, chirp: ChirpConfig = DEFAULT_CHIRP) -> BeatSignal:
     """Render a scene into one scan of beat samples.
 
     Args:
         scene: validated reflector arrangement.
         chirp: sweep parameters; defaults to the stock 24 GHz profile.
-        range_bias_m: additive range offset applied to every reflector,
-            modelling an uncalibrated sensor. Default 0.
 
     Returns:
         BeatSignal whose samples are the sum over reflectors of
         amplitude * cos(2*pi*f_beat*t + phase) plus seeded Gaussian noise
         scaled by scene.noise_amplitude.
 
-    Identical (scene, chirp, range_bias_m) inputs give bit-identical
-    output arrays.
+    Identical (scene, chirp) inputs give bit-identical output arrays.
     """
-    validate_scene(scene).raise_if_invalid()
+    validate_scene(scene)
+    # Bound the sample count before rounding it: an overflowing or huge
+    # product must fail here, not in round() or the allocation.
+    product = chirp.sweep_time_s * chirp.sample_rate_hz
+    if not product <= MAX_SAMPLES:
+        raise ValueError(
+            f"chirp.sweep_time_s * chirp.sample_rate_hz = {product:.6g} samples; "
+            f"at most {MAX_SAMPLES} allowed"
+        )
     if chirp.n_samples < MIN_SAMPLES:
         raise ValueError(
             f"chirp yields {chirp.n_samples} samples; need at least {MIN_SAMPLES}"
@@ -136,7 +140,7 @@ def synthesize_beat(
     phase_seed = scene.effective_phase_seed
     for ref in scene.reflectors():
         amp = effective_amplitude(scene, ref)
-        f_b = beat_frequency(ref.range_m + range_bias_m, chirp)
+        f_b = beat_frequency(ref.range_m, chirp)
         phi = reflector_phase(phase_seed, ref.id)
         out += amp * np.cos(2.0 * np.pi * f_b * t + phi)
     if scene.noise_amplitude > 0:

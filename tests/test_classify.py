@@ -104,31 +104,24 @@ class TestCaptureBaseline:
         with pytest.raises(ValueError, match="baseline profile has no peaks to anchor on"):
             capture_baseline([prof], None)
 
-    def test_label_flows_into_readings(self):
-        base = capture_baseline([_wall_profile()], 6.0, label="lab north wall")
-        reading = rrm(Peak(2.0, 0.01, 0.01, 27), base)
-        assert reading.baseline_label == "lab north wall"
-
 
 class TestRrm:
     def test_plain_ratio(self):
         base = _dummy_baseline(6.0, 0.004)
-        reading = rrm(Peak(2.0, 0.006, 0.006, 27), base)
-        assert reading.rrm == pytest.approx(1.5, rel=1e-12)
-        assert reading.target_peak.range_m == 2.0
+        assert rrm(Peak(2.0, 0.006, 0.006, 27), base) == pytest.approx(1.5, rel=1e-12)
 
     def test_scale_invariant(self):
         a = rrm(Peak(2.0, 0.006, 0.006, 27), _dummy_baseline(6.0, 0.004))
         b = rrm(Peak(2.0, 0.0222, 0.0222, 27), _dummy_baseline(6.0, 0.0148))
-        assert a.rrm == pytest.approx(b.rrm, rel=1e-12)
+        assert a == pytest.approx(b, rel=1e-12)
 
     def test_reference_ratio_spot_values(self):
         # A target matching the reference reads exactly 1; stronger targets
         # read as their plain amplitude multiple.
         base = _dummy_baseline(6.0, 0.004)
         for factor in (1.0, 1.88, 14.93):
-            reading = rrm(Peak(2.0, 0.004 * factor, 0.004 * factor, 27), base)
-            assert reading.rrm == pytest.approx(factor, rel=1e-12)
+            ratio = rrm(Peak(2.0, 0.004 * factor, 0.004 * factor, 27), base)
+            assert ratio == pytest.approx(factor, rel=1e-12)
 
     def test_guards_against_nonpositive_amplitudes(self):
         with pytest.raises(ValueError, match="reference rsa"):
@@ -153,10 +146,8 @@ class TestSpreadingCompensation:
         # target rsa*R^2 over reference rsa*R^2 cancels the geometry; with
         # ideal inverse-square amplitudes only reflectivities remain.
         base = _dummy_baseline(6.0, 0.05 / 36.0)
-        reading = rrm_compensated(Peak(2.0, 0.08 / 4.0, 0.01, 27), base)
-        assert reading.rrm == pytest.approx(0.08 / 0.05, rel=1e-12)
-        # the reading keeps the raw, uncompensated peak
-        assert reading.target_peak.rsa == pytest.approx(0.08 / 4.0, rel=1e-12)
+        ratio = rrm_compensated(Peak(2.0, 0.08 / 4.0, 0.01, 27), base)
+        assert ratio == pytest.approx(0.08 / 0.05, rel=1e-12)
 
     def test_end_to_end_human_lands_in_band(self):
         scene = Scene(
@@ -171,8 +162,7 @@ class TestSpreadingCompensation:
             (p for p in detect_peaks(prof, 1e-4, 2e-4) if abs(p.range_m - 2.0) < 0.5),
             key=lambda p: p.rsa,
         )
-        reading = rrm_compensated(target, base)
-        assert classify(reading) is H
+        assert classify(rrm_compensated(target, base)) is H
 
 
 class TestClassify:
@@ -189,10 +179,6 @@ class TestClassify:
         assert classify(1.0) is I
         assert classify(1.6) is H
         assert classify(12.0) is M
-
-    def test_accepts_reading_or_float(self):
-        reading = rrm(Peak(2.0, 0.006, 0.006, 27), _dummy_baseline(6.0, 0.004))
-        assert classify(reading) is classify(reading.rrm)
 
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError, match="rrm must be > 0"):

@@ -148,6 +148,37 @@ class TestSimulate:
         assert captured.out == ""
         assert captured.err.startswith("error: scene.max_range_m: ")
 
+    def test_chirp_sample_count_overflow_exits_1_naming_the_fields(self, tmp_path, capsys):
+        doc = dict(HUMAN_ROOM, chirp={"sweep_time_s": 1e200, "sample_rate_hz": 1e200})
+        scene = _write_doc(tmp_path, "scene.json", doc)
+        assert main(["simulate", "--scene", scene, "--out", str(tmp_path / "out")]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: chirp.sweep_time_s * chirp.sample_rate_hz = ")
+
+    @pytest.mark.parametrize(
+        "section, value",
+        [
+            ("monitor", []),
+            ("safety", 0),
+            ("classifier", ""),
+            ("baseline", False),
+            ("chirp", None),
+            ("monitor.zone", []),
+            ("safety.tiers", 0),
+            ("classifier.bands", ""),
+        ],
+    )
+    def test_present_section_must_be_an_object(self, section, value, tmp_path, capsys):
+        # Only an absent section means "not configured".
+        outer, _, inner = section.partition(".")
+        doc = dict(HUMAN_ROOM, **{outer: {inner: value} if inner else value})
+        scene = _write_doc(tmp_path, "scene.json", doc)
+        assert main(["simulate", "--scene", scene, "--out", str(tmp_path / "out")]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {section}: expected an object\n"
+
 
 class TestClassify:
     def _run(self, tmp_path, extra=(), scene_doc=HUMAN_ROOM):

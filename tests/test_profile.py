@@ -14,12 +14,13 @@ from wallsense import (
     Window,
     detect_peaks,
     find_peaks_in_series,
-    naive_spectrum,
     profile_to_csv,
     range_profile,
     range_resolution,
     synthesize_beat,
 )
+
+from oracles import naive_spectrum
 
 
 def _beat_from(samples):

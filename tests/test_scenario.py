@@ -325,7 +325,7 @@ class TestMonitorRunningStatus:
         positions = [None, 2.2, 1.9, 1.6, 1.3, 1.3, None, 1.6, 1.9, 2.2, None, 1.0]
         steps = [
             ScenarioStep(f"scan_{i}", () if r is None else (
-                AddScatterer(Scatterer("sheet", r, SHEET_METAL, extent_m=(0.3, 0.3))),
+                AddScatterer(Scatterer("sheet", r, SHEET_METAL)),
             ))
             for i, r in enumerate(positions)
         ]

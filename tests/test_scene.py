@@ -17,56 +17,96 @@ def _scatterer(rid, range_m, reflectivity=1.0, transmissivity=0.5):
     return Scatterer(rid, range_m, Material("test", reflectivity, transmissivity))
 
 
+NAN = float("nan")
+
+
 class TestValidateScene:
     def test_empty_scene_is_valid(self):
-        assert validate_scene(Scene()).ok
+        assert validate_scene(Scene()) is None
 
     def test_typical_scene_is_valid(self):
         scene = Scene(
             scatterers=(Scatterer("person", 2.0, HUMAN_BODY),),
             walls=(Wall("back", 6.0, LAB_WALL),),
         )
-        assert validate_scene(scene).ok
+        assert validate_scene(scene) is None
 
     def test_scatterer_beyond_max_range_is_out_of_bounds(self):
         scene = Scene(scatterers=(_scatterer("far", 9.0),), max_range_m=8.0)
-        report = validate_scene(scene)
-        assert not report.ok
-        assert any("out of bounds" in v for v in report.violations)
+        with pytest.raises(ValueError, match="out of bounds"):
+            validate_scene(scene)
 
     def test_duplicate_wall_range_is_flagged(self):
         scene = Scene(
             walls=(Wall("w1", 0.1, PLASTERBOARD), Wall("w2", 0.1, PLASTERBOARD)),
         )
-        report = validate_scene(scene)
-        assert any("duplicate wall range" in v for v in report.violations)
+        with pytest.raises(ValueError, match="duplicate wall range"):
+            validate_scene(scene)
 
     def test_unsorted_walls_are_flagged(self):
         scene = Scene(
             walls=(Wall("w1", 3.0, PLASTERBOARD), Wall("w2", 1.0, PLASTERBOARD)),
         )
-        assert any("sorted" in v for v in validate_scene(scene).violations)
+        with pytest.raises(ValueError, match="sorted"):
+            validate_scene(scene)
 
     def test_negative_reflectivity_is_flagged(self):
         scene = Scene(scatterers=(_scatterer("bad", 1.0, reflectivity=-0.1),))
-        assert any("reflectivity" in v for v in validate_scene(scene).violations)
+        with pytest.raises(ValueError, match="reflectivity"):
+            validate_scene(scene)
 
     def test_transmissivity_above_one_is_flagged(self):
         scene = Scene(scatterers=(_scatterer("bad", 1.0, transmissivity=1.5),))
-        assert any("transmissivity" in v for v in validate_scene(scene).violations)
+        with pytest.raises(ValueError, match="transmissivity"):
+            validate_scene(scene)
 
     def test_nonpositive_range_is_flagged(self):
         scene = Scene(scatterers=(_scatterer("zero", 0.0),))
-        assert any("range_m" in v for v in validate_scene(scene).violations)
+        with pytest.raises(ValueError, match="range_m"):
+            validate_scene(scene)
 
     def test_duplicate_ids_are_flagged(self):
         scene = Scene(scatterers=(_scatterer("x", 1.0), _scatterer("x", 2.0)))
-        assert any("duplicate reflector id" in v for v in validate_scene(scene).violations)
+        with pytest.raises(ValueError, match="duplicate reflector id"):
+            validate_scene(scene)
 
     def test_raise_if_invalid(self):
-        scene = Scene(scatterers=(_scatterer("far", 9.0),), max_range_m=8.0)
-        with pytest.raises(ValueError, match="out of bounds"):
-            validate_scene(scene).raise_if_invalid()
+        # Every violation is reported, in one message joined by "; ".
+        scene = Scene(
+            scatterers=(_scatterer("far", 9.0), _scatterer("bad", 1.0, reflectivity=-0.1)),
+            max_range_m=8.0,
+        )
+        with pytest.raises(ValueError) as exc:
+            validate_scene(scene)
+        assert str(exc.value) == (
+            "scatterer 'far' at 9.0 m is out of bounds (max_range_m 8.0); "
+            "scatterer 'bad': material.reflectivity must be >= 0, got -0.1"
+        )
+
+    def test_nan_scatterer_range_is_flagged(self):
+        scene = Scene(scatterers=(_scatterer("s", NAN),))
+        with pytest.raises(ValueError, match=r"^scatterer 's': range_m must be > 0, got nan$"):
+            validate_scene(scene)
+
+    def test_nan_wall_range_is_flagged(self):
+        scene = Scene(walls=(Wall("w", NAN, PLASTERBOARD),))
+        with pytest.raises(ValueError, match=r"^wall 'w': range_m must be > 0, got nan"):
+            validate_scene(scene)
+
+    def test_nan_max_range_is_flagged(self):
+        with pytest.raises(ValueError, match=r"^scene\.max_range_m must be > 0, got nan$"):
+            validate_scene(Scene(max_range_m=NAN))
+
+    def test_nan_noise_amplitude_is_flagged(self):
+        with pytest.raises(ValueError, match=r"^scene\.noise_amplitude must be >= 0, got nan$"):
+            validate_scene(Scene(noise_amplitude=NAN))
+
+    def test_nan_reflectivity_is_flagged(self):
+        scene = Scene(scatterers=(_scatterer("s", 1.0, reflectivity=NAN),))
+        with pytest.raises(
+            ValueError, match=r"^scatterer 's': material\.reflectivity must be >= 0, got nan$"
+        ):
+            validate_scene(scene)
 
 
 class TestEffectiveAmplitude:

@@ -68,7 +68,6 @@ class TestParseSceneConfig:
         assert ids == ["person", "plate"]
         assert cfg.scene.scatterers[0].kind is TargetKind.HUMAN
         assert cfg.scene.scatterers[1].material.reflectivity == 0.85
-        assert cfg.scene.scatterers[1].extent_m == (0.3, 0.3)
         assert cfg.scene.walls[0].material.name == "lab_wall"
         assert (cfg.scene.rng_seed, cfg.scene.phase_seed) == (42, 9)
         assert cfg.scene.max_range_m == 7.5
@@ -106,10 +105,10 @@ class TestParseSceneConfig:
         with pytest.raises(ValueError, match="unknown kind 'drone'"):
             parse_scene_config(doc)
 
-    def test_extent_must_be_a_pair(self):
-        doc = {"scene": {"scatterers": [{"id": "s", "range_m": 1.0, "extent_m": [0.3]}]}}
-        with pytest.raises(ValueError, match=r"extent_m"):
-            parse_scene_config(doc)
+    def test_unknown_scatterer_keys_are_ignored(self):
+        plain = {"scene": {"scatterers": [{"id": "s", "range_m": 1.0}]}}
+        extra = {"scene": {"scatterers": [{"id": "s", "range_m": 1.0, "extent_m": [{}, 1]}]}}
+        assert parse_scene_config(extra) == parse_scene_config(plain)
 
     def test_wrong_container_types(self):
         with pytest.raises(ValueError, match=r"scene\.walls: expected an array"):
