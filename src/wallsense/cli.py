@@ -14,11 +14,12 @@ from importlib import resources
 from pathlib import Path
 
 from . import __version__
-from .classify import Baseline, calibrate_bands, capture_baseline
+from .classify import calibrate_bands
 from .profile import Window, profile_to_csv, range_profile
 from .scenario import (
     BUILTIN_SCENARIOS,
     ScenarioStep,
+    _empty_room_baseline,
     _run_scans,
     builtin_scenario,
     classification_to_csv,
@@ -56,11 +57,6 @@ def _load_config(path: str, seed: int | None) -> SceneConfig:
     return cfg
 
 
-def _baseline_for(cfg: SceneConfig, path: str) -> Baseline:
-    prof = range_profile(synthesize_beat(cfg.scene, cfg.chirp), Window.HANN)
-    return capture_baseline([prof], cfg.baseline_hint_m, label=Path(path).stem)
-
-
 def _write(out_dir: str, name: str, text: str) -> Path:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -84,7 +80,7 @@ def _cmd_classify(args: argparse.Namespace) -> int:
     base_cfg = _load_config(args.baseline, None)
     if base_cfg.chirp != cfg.chirp:
         raise ValueError("scene and baseline chirp configurations differ")
-    baseline = _baseline_for(base_cfg, args.baseline)
+    baseline = _empty_room_baseline(base_cfg.scene, base_cfg.chirp, base_cfg.baseline_hint_m)
     scenario = scenario_from_config(
         cfg, "classify", (ScenarioStep(args.scene),), ("profile", "rrm", "classify")
     )
@@ -107,7 +103,7 @@ def _cmd_monitor(args: argparse.Namespace) -> int:
     base_cfg = replace(
         base_cfg, zone=zone, baseline_hint_m=base_cfg.baseline_hint_m or zone.far_m
     )
-    baseline = _baseline_for(base_cfg, args.baseline)
+    baseline = _empty_room_baseline(base_cfg.scene, base_cfg.chirp, base_cfg.baseline_hint_m)
 
     def scan(path: str):
         cfg = _load_config(path, args.seed)

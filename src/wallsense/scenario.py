@@ -191,6 +191,11 @@ def _validate_pipeline(scenario: Scenario) -> None:
         raise ValueError("'throughwall' requires a monitor zone")
 
 
+def _empty_room_baseline(scene: Scene, chirp: ChirpConfig, hint_m: float | None) -> Baseline:
+    """The baseline of one Hann-windowed scan of the empty room, anchored near hint_m."""
+    return capture_baseline([range_profile(synthesize_beat(scene, chirp), Window.HANN)], hint_m)
+
+
 def run_scenario(scenario: Scenario) -> RunResult:
     """Execute every step through the configured stages.
 
@@ -203,10 +208,7 @@ def run_scenario(scenario: Scenario) -> RunResult:
 
     baseline: Baseline | None = None
     if "rrm" in scenario.pipeline or "throughwall" in scenario.pipeline:
-        base_profile = range_profile(synthesize_beat(base, scenario.chirp), Window.HANN)
-        baseline = capture_baseline(
-            [base_profile], scenario.baseline_hint_m, label=f"{scenario.name}:baseline"
-        )
+        baseline = _empty_room_baseline(base, scenario.chirp, scenario.baseline_hint_m)
     # Fresh noise per scan, stable reflector phases across the whole run:
     # the room does not move between scans, the noise does.
     scans = (

@@ -9,6 +9,7 @@ reproducible.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -101,8 +102,10 @@ class Scene:
 
 def _check_material(owner: str, material: Material, out: list[str]) -> None:
     # Each check is written so that NaN fails it.
-    if not material.reflectivity >= 0:
-        out.append(f"{owner}: material.reflectivity must be >= 0, got {material.reflectivity}")
+    if not 0 <= material.reflectivity < math.inf:
+        out.append(
+            f"{owner}: material.reflectivity must be finite and >= 0, got {material.reflectivity}"
+        )
     if not 0.0 <= material.transmissivity <= 1.0:
         out.append(
             f"{owner}: material.transmissivity must be in [0, 1], got {material.transmissivity}"
@@ -125,8 +128,8 @@ def validate_scene(scene: Scene) -> None:
     v: list[str] = []
     if not scene.max_range_m > 0:
         v.append(f"scene.max_range_m must be > 0, got {scene.max_range_m}")
-    if not scene.noise_amplitude >= 0:
-        v.append(f"scene.noise_amplitude must be >= 0, got {scene.noise_amplitude}")
+    if not 0 <= scene.noise_amplitude < math.inf:
+        v.append(f"scene.noise_amplitude must be finite and >= 0, got {scene.noise_amplitude}")
 
     for s in scene.scatterers:
         owner = f"scatterer '{s.id}'"

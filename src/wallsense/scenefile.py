@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 import math
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
 
 from .classify import ClassBands, DEFAULT_BANDS, TargetClass
@@ -115,6 +115,24 @@ def _string(node: dict, key: str, path: str, default=None) -> str:
     return value
 
 
+_READERS = {"float": _number, "int": _integer, "int | None": _integer,
+            "bool": _boolean, "str": _string}
+
+
+def _record(cls, node: dict, path: str, **given):
+    """Build dataclass cls from the keys of node named like its fields.
+
+    Fields not in given are read in declaration order by the reader their
+    annotation names; an absent key takes the field's own default.
+    """
+    values = dict(given)
+    for f in fields(cls):
+        if f.name not in given:
+            default = None if f.default is MISSING else f.default
+            values[f.name] = _READERS[f.type](node, f.name, path, default)
+    return cls(**values)
+
+
 def _material(node, path: str) -> Material:
     if isinstance(node, str):
         if node not in MATERIAL_PRESETS:
@@ -123,12 +141,7 @@ def _material(node, path: str) -> Material:
                 f"known: {', '.join(sorted(MATERIAL_PRESETS))}"
             )
         return MATERIAL_PRESETS[node]
-    m = _expect_mapping(node, path)
-    return Material(
-        name=_string(m, "name", path),
-        reflectivity=_number(m, "reflectivity", path),
-        transmissivity=_number(m, "transmissivity", path),
-    )
+    return _record(Material, _expect_mapping(node, path), path)
 
 
 def _scatterer(node, path: str) -> Scatterer:
@@ -178,14 +191,7 @@ def _scene(doc: dict) -> Scene:
         _wall(w, f"scene.walls[{i}]")
         for i, w in enumerate(_expect_list(node.get("walls", []), "scene.walls"))
     )
-    return Scene(
-        scatterers=scatterers,
-        walls=walls,
-        max_range_m=_number(node, "max_range_m", "scene", 8.0),
-        noise_amplitude=_number(node, "noise_amplitude", "scene", 0.0),
-        rng_seed=_integer(node, "rng_seed", "scene", 0),
-        phase_seed=_integer(node, "phase_seed", "scene", None),
-    )
+    return _record(Scene, node, "scene", scatterers=scatterers, walls=walls)
 
 
 def _bands(doc: dict) -> ClassBands | None:
@@ -195,28 +201,11 @@ def _bands(doc: dict) -> ClassBands | None:
 
 def _zone(doc: dict) -> MonitorZone | None:
     z = _section(doc, "monitor", "zone")
-    if z is None:
-        return None
-    return MonitorZone(
-        near_m=_number(z, "near_m", "monitor.zone"),
-        far_m=_number(z, "far_m", "monitor.zone"),
-        excess_threshold=_number(z, "excess_threshold", "monitor.zone", 0.01),
-        guard_bins=_integer(z, "guard_bins", "monitor.zone", 2),
-    )
+    return None if z is None else _record(MonitorZone, z, "monitor.zone")
 
 
 def _tiers(doc: dict) -> TierConfig:
-    t = _section(doc, "safety", "tiers")
-    default = TierConfig()
-    if t is None:
-        return default
-    return TierConfig(
-        stop_range_m=_number(t, "stop_range_m", "safety.tiers", default.stop_range_m),
-        slow_range_m=_number(t, "slow_range_m", "safety.tiers", default.slow_range_m),
-        slow_speed_cap=_number(t, "slow_speed_cap", "safety.tiers", default.slow_speed_cap),
-        hysteresis_m=_number(t, "hysteresis_m", "safety.tiers", default.hysteresis_m),
-        treat_unknown_as_human=_boolean(t, "treat_unknown_as_human", "safety.tiers", False),
-    )
+    return _record(TierConfig, _section(doc, "safety", "tiers") or {}, "safety.tiers")
 
 
 def _baseline_hint(doc: dict) -> float | None:
@@ -226,8 +215,15 @@ def _baseline_hint(doc: dict) -> float | None:
     return _number(node, "feature_range_hint", "baseline")
 
 
+def _threshold(detector: dict, key: str, default: float) -> float:
+    value = _number(detector, key, "detector", default)
+    if value < 0:
+        raise ValueError(f"detector.{key}: expected a number >= 0, got {detector[key]!r}")
+    return value
+
+
 def parse_scene_config(doc: dict) -> SceneConfig:
-    detector = _expect_mapping(doc.get("detector", {}), "detector")
+    node = _expect_mapping(doc.get("detector", {}), "detector")
     return SceneConfig(
         scene=_scene(doc),
         chirp=_chirp(doc),
@@ -235,8 +231,8 @@ def parse_scene_config(doc: dict) -> SceneConfig:
         bands=_bands(doc),
         zone=_zone(doc),
         tier_config=_tiers(doc),
-        detect_min_rsa=_number(detector, "min_rsa", "detector", 2e-4),
-        detect_min_prominence=_number(detector, "min_prominence", "detector", 1e-4),
+        detect_min_rsa=_threshold(node, "min_rsa", Scenario.detect_min_rsa),
+        detect_min_prominence=_threshold(node, "min_prominence", Scenario.detect_min_prominence),
     )
 
 

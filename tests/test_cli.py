@@ -84,6 +84,23 @@ class TestParserBasics:
         assert not [k for k, v in namespace.items() if isinstance(v, types.ModuleType)]
         assert "run_scenario" in namespace
 
+    @pytest.mark.parametrize("key", ["min_rsa", "min_prominence"])
+    @pytest.mark.parametrize("command", ["simulate", "classify", "monitor"])
+    def test_negative_detector_threshold_exits_1_naming_the_field(
+        self, command, key, tmp_path, capsys
+    ):
+        scene = _write_doc(tmp_path, "scene.json", dict(HUMAN_ROOM, detector={key: -1}))
+        extra = {
+            "simulate": [],
+            "classify": ["--baseline", _write_doc(tmp_path, "empty.json", EMPTY_ROOM)],
+            "monitor": ["--baseline", _write_doc(tmp_path, "partition.json", PARTITION)],
+        }[command]
+        argv = [command, "--scene", scene, *extra, "--out", str(tmp_path / "out")]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: detector.{key}: expected a number >= 0, got -1\n"
+
     def test_installed_entry_point(self):
         assert shutil.which("wallsense"), "console script not on PATH"
         proc = subprocess.run(

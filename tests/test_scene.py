@@ -18,6 +18,7 @@ def _scatterer(rid, range_m, reflectivity=1.0, transmissivity=0.5):
 
 
 NAN = float("nan")
+INF = float("inf")
 
 
 class TestValidateScene:
@@ -80,7 +81,7 @@ class TestValidateScene:
             validate_scene(scene)
         assert str(exc.value) == (
             "scatterer 'far' at 9.0 m is out of bounds (max_range_m 8.0); "
-            "scatterer 'bad': material.reflectivity must be >= 0, got -0.1"
+            "scatterer 'bad': material.reflectivity must be finite and >= 0, got -0.1"
         )
 
     def test_nan_scatterer_range_is_flagged(self):
@@ -98,13 +99,32 @@ class TestValidateScene:
             validate_scene(Scene(max_range_m=NAN))
 
     def test_nan_noise_amplitude_is_flagged(self):
-        with pytest.raises(ValueError, match=r"^scene\.noise_amplitude must be >= 0, got nan$"):
+        with pytest.raises(
+            ValueError, match=r"^scene\.noise_amplitude must be finite and >= 0, got nan$"
+        ):
             validate_scene(Scene(noise_amplitude=NAN))
+
+    @pytest.mark.parametrize("value", [INF, -INF])
+    def test_infinite_noise_amplitude_is_flagged(self, value):
+        with pytest.raises(
+            ValueError, match=rf"^scene\.noise_amplitude must be finite and >= 0, got {value}$"
+        ):
+            validate_scene(Scene(noise_amplitude=value))
 
     def test_nan_reflectivity_is_flagged(self):
         scene = Scene(scatterers=(_scatterer("s", 1.0, reflectivity=NAN),))
         with pytest.raises(
-            ValueError, match=r"^scatterer 's': material\.reflectivity must be >= 0, got nan$"
+            ValueError,
+            match=r"^scatterer 's': material\.reflectivity must be finite and >= 0, got nan$",
+        ):
+            validate_scene(scene)
+
+    @pytest.mark.parametrize("value", [INF, -INF])
+    def test_infinite_reflectivity_is_flagged(self, value):
+        scene = Scene(walls=(Wall("w", 1.0, Material("m", value, 0.0)),))
+        with pytest.raises(
+            ValueError,
+            match=rf"^wall 'w': material\.reflectivity must be finite and >= 0, got {value}$",
         ):
             validate_scene(scene)
 

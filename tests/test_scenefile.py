@@ -8,8 +8,12 @@ from wallsense import (
     DEFAULT_CHIRP,
     AddScatterer,
     ClassBands,
+    Material,
+    MonitorZone,
     MoveScatterer,
     RemoveScatterer,
+    Scatterer,
+    Scene,
     TargetClass,
     TargetKind,
     TierConfig,
@@ -59,6 +63,18 @@ class TestParseSceneConfig:
         assert cfg.zone is None
         assert cfg.tier_config == TierConfig()
         assert (cfg.detect_min_rsa, cfg.detect_min_prominence) == (2e-4, 1e-4)
+
+        # Present but sparse sections take each absent field's dataclass default.
+        material = {"name": "m", "reflectivity": 0.1, "transmissivity": 0.5}
+        cfg = parse_scene_config({
+            "scene": {"scatterers": [{"id": "s", "range_m": 2.0, "material": material}]},
+            "monitor": {"zone": {"near_m": 0.1, "far_m": 2.6}},
+            "safety": {"tiers": {}},
+        })
+        assert cfg.scene == Scene(scatterers=(Scatterer("s", 2.0, Material("m", 0.1, 0.5)),))
+        assert cfg.zone == MonitorZone(0.1, 2.6)
+        assert cfg.tier_config == TierConfig()
+        assert parse_scene_config({"scene": {}}).scene == Scene()
 
     def test_full_document(self):
         cfg = parse_scene_config(FULL_DOC)
