@@ -10,6 +10,7 @@ reproducible.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 
@@ -151,8 +152,8 @@ def validate_scene(scene: Scene) -> None:
         else:
             seen[w.range_m] = w.id
 
-    ids = [r.id for r in scene.reflectors()]
-    for rid in sorted({i for i in ids if ids.count(i) > 1}):
+    counts = Counter(r.id for r in scene.reflectors())
+    for rid in sorted(i for i, k in counts.items() if k > 1):
         v.append(f"duplicate reflector id '{rid}'")
 
     if v:
@@ -168,9 +169,16 @@ def effective_amplitude(scene: Scene, target: Scatterer | Wall) -> float:
     """
     if target not in scene.reflectors():
         raise ValueError(f"target '{getattr(target, 'id', target)}' not in scene")
-    amp = target.material.reflectivity
+    return _amplitude(scene, target)
+
+
+def _amplitude(scene: Scene, ref: Scatterer | Wall) -> float:
+    # effective_amplitude without its O(R) membership check, for callers
+    # that iterate over scene.reflectors() themselves. The product is
+    # taken in this order, wall by wall, so that results are bit-stable.
+    amp = ref.material.reflectivity
     for wall in scene.walls:
-        if wall.range_m < target.range_m:
+        if wall.range_m < ref.range_m:
             amp *= wall.material.transmissivity**2
-    amp *= (REFERENCE_RANGE_M / target.range_m) ** 2
+    amp *= (REFERENCE_RANGE_M / ref.range_m) ** 2
     return amp

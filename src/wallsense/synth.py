@@ -8,13 +8,16 @@ which keeps every run bit-identical for identical inputs.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import math
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
 
-from .scene import Scene, effective_amplitude, validate_scene
+from .scene import Scene, _amplitude, validate_scene
 
 SPEED_OF_LIGHT_M_S = 299_792_458.0
 
@@ -22,6 +25,12 @@ MIN_SAMPLES = 16
 # 512 KiB per float64 array. At the default 2 GHz sweep 2**16 samples
 # reach 2.4 km, where the default 1000 reach 37 m.
 MAX_SAMPLES = 2**16
+
+# A static room scanned again and again repeats most of its reflector
+# terms bit for bit, so synthesize_beat keeps the most recently used ones,
+# up to this many bytes: 131 terms at the default 1000 samples, two at
+# MAX_SAMPLES.
+_TERM_CACHE_BYTES = 2**20
 
 
 @dataclass(frozen=True)
@@ -101,6 +110,44 @@ def reflector_phase(phase_seed: int, reflector_id: str) -> float:
     return int.from_bytes(digest[:8], "big") / 2.0**64 * 2.0 * math.pi
 
 
+# typed: True and 1 hash alike but format differently into the digest.
+_phase = functools.lru_cache(maxsize=4096, typed=True)(reflector_phase)
+
+
+class _TermCache:
+    """Least-recently-used map from a term's key to its read-only samples.
+
+    Bounded by the total nbytes of the arrays it holds. The lock keeps the
+    order and the byte count consistent when threads synthesize at once.
+    """
+
+    def __init__(self, max_bytes: int) -> None:
+        self.max_bytes = max_bytes
+        self.nbytes = 0
+        self.terms: OrderedDict[tuple, np.ndarray] = OrderedDict()
+        self._lock = threading.Lock()
+
+    def get(self, key: tuple) -> np.ndarray | None:
+        with self._lock:
+            term = self.terms.get(key)
+            if term is not None:
+                self.terms.move_to_end(key)
+            return term
+
+    def put(self, key: tuple, term: np.ndarray) -> np.ndarray:
+        term.flags.writeable = False
+        with self._lock:
+            if key not in self.terms:
+                self.terms[key] = term
+                self.nbytes += term.nbytes
+                while self.nbytes > self.max_bytes:
+                    self.nbytes -= self.terms.popitem(last=False)[1].nbytes
+        return term
+
+
+_TERMS = _TermCache(_TERM_CACHE_BYTES)
+
+
 def synthesize_beat(scene: Scene, chirp: ChirpConfig = DEFAULT_CHIRP) -> BeatSignal:
     """Render a scene into one scan of beat samples.
 
@@ -139,10 +186,18 @@ def synthesize_beat(scene: Scene, chirp: ChirpConfig = DEFAULT_CHIRP) -> BeatSig
     out = np.zeros(n)
     phase_seed = scene.effective_phase_seed
     for ref in scene.reflectors():
-        amp = effective_amplitude(scene, ref)
-        f_b = beat_frequency(ref.range_m, chirp)
-        phi = reflector_phase(phase_seed, ref.id)
-        out += amp * np.cos(2.0 * np.pi * f_b * t + phi)
+        amp = _amplitude(scene, ref)
+        w = 2.0 * np.pi * beat_frequency(ref.range_m, chirp)
+        phi = _phase(phase_seed, ref.id)
+        # The key holds every value the term reads; t is fixed by n and
+        # the sample rate.
+        key = (amp, w, phi, n, chirp.sample_rate_hz)
+        term = _TERMS.get(key)
+        if term is None:
+            term = _TERMS.put(key, amp * np.cos(w * t + phi))
+        # Added one at a time in reflector order, the order the bits of
+        # the sum depend on.
+        out += term
     if scene.noise_amplitude > 0:
         rng = np.random.default_rng(scene.rng_seed)
         out += scene.noise_amplitude * rng.standard_normal(n)

@@ -2,7 +2,16 @@
 
 import numpy as np
 
-from wallsense import BeatSignal, RangeProfile, bin_spacing_m
+from wallsense import (
+    REFERENCE_RANGE_M,
+    BeatSignal,
+    ChirpConfig,
+    RangeProfile,
+    Scene,
+    beat_frequency,
+    bin_spacing_m,
+    reflector_phase,
+)
 
 
 def naive_spectrum(beat: BeatSignal) -> RangeProfile:
@@ -19,3 +28,27 @@ def naive_spectrum(beat: BeatSignal) -> RangeProfile:
         mags[k] = np.abs(np.dot(x, np.exp(-2j * np.pi * k * idx / n)))
     ranges = np.arange(n // 2) * bin_spacing_m(beat.chirp)
     return RangeProfile(ranges, mags * (2.0 / n), beat.chirp)
+
+
+def loop_synthesize_beat(scene: Scene, chirp: ChirpConfig) -> np.ndarray:
+    """synthesize_beat's samples as the loop computed them before its terms
+    were cached: per reflector, the amplitude product in effective_amplitude's
+    order (written out here, so that it is checked too) and an uncached cosine.
+    """
+    n = chirp.n_samples
+    t = np.arange(n) / chirp.sample_rate_hz
+    out = np.zeros(n)
+    phase_seed = scene.effective_phase_seed
+    for ref in scene.reflectors():
+        amp = ref.material.reflectivity
+        for wall in scene.walls:
+            if wall.range_m < ref.range_m:
+                amp *= wall.material.transmissivity**2
+        amp *= (REFERENCE_RANGE_M / ref.range_m) ** 2
+        f_b = beat_frequency(ref.range_m, chirp)
+        phi = reflector_phase(phase_seed, ref.id)
+        out += amp * np.cos(2.0 * np.pi * f_b * t + phi)
+    if scene.noise_amplitude > 0:
+        rng = np.random.default_rng(scene.rng_seed)
+        out += scene.noise_amplitude * rng.standard_normal(n)
+    return out

@@ -71,6 +71,16 @@ class TestValidateScene:
         with pytest.raises(ValueError, match="duplicate reflector id"):
             validate_scene(scene)
 
+    def test_duplicate_ids_are_listed_in_sorted_order(self):
+        # Reflector order is walls first: 'b' is seen before 'a'.
+        scene = Scene(
+            walls=(Wall("b", 0.5, PLASTERBOARD),),
+            scatterers=(_scatterer("b", 1.0), _scatterer("a", 2.0), _scatterer("a", 3.0)),
+        )
+        with pytest.raises(ValueError) as exc:
+            validate_scene(scene)
+        assert str(exc.value) == "duplicate reflector id 'a'; duplicate reflector id 'b'"
+
     def test_raise_if_invalid(self):
         # Every violation is reported, in one message joined by "; ".
         scene = Scene(

@@ -1,5 +1,11 @@
+import sys
+import threading
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wallsense import (
     DEFAULT_CHIRP,
@@ -8,14 +14,16 @@ from wallsense import (
     Material,
     Scatterer,
     Scene,
+    Wall,
     beat_frequency,
     range_resolution,
     reflector_phase,
     synthesize_beat,
 )
+from wallsense import synth
 from wallsense.synth import MAX_SAMPLES
 
-from oracles import naive_spectrum
+from oracles import loop_synthesize_beat, naive_spectrum
 
 # f = 2*B*R / (c*T) evaluated by hand for B=2 GHz, T=1 ms, R=3 m.
 BEAT_3M_DEFAULT_HZ = 40027.69142377825
@@ -145,3 +153,107 @@ class TestSynthesizeBeat:
         beat = synthesize_beat(_scene(2.0), DEFAULT_CHIRP)
         with pytest.raises(ValueError):
             beat.samples[0] = 1.0
+
+
+# Both give every range the same beat frequency as DEFAULT_CHIRP, so their
+# terms differ from its terms only in the sample rate or only in n.
+OTHER_RATE_CHIRP = ChirpConfig(77e9, 1e9, 5e-4, 2e6)
+OTHER_LENGTH_CHIRP = ChirpConfig(24e9, 1e9, 5e-4, 1e6)
+
+# A few ranges drawn from a small pool, so walls and scatterers share them.
+RANGES = (0.61, 1.37, 2.23, 3.9, 5.17, 7.9)
+COEFFICIENTS = st.one_of(st.sampled_from((0.0, 1.0)), st.floats(0.0, 1.0))
+
+
+@st.composite
+def _scenes(draw):
+    wall_ranges = sorted(draw(st.sets(st.sampled_from(RANGES), max_size=3)))
+    walls = tuple(
+        Wall(f"w{i}", r, Material("m", draw(COEFFICIENTS), draw(COEFFICIENTS)))
+        for i, r in enumerate(wall_ranges)
+    )
+    scatterers = tuple(
+        Scatterer(f"s{i}", draw(st.sampled_from(RANGES)), Material("m", draw(COEFFICIENTS), 0.0))
+        for i in range(draw(st.integers(0, 6)))
+    )
+    return Scene(
+        scatterers=scatterers,
+        walls=walls,
+        noise_amplitude=draw(st.sampled_from((0.0, 1e-3))),
+        rng_seed=draw(st.integers(0, 3)),
+        phase_seed=draw(st.sampled_from((None, 5))),
+    )
+
+
+def _matches_oracle(scene, chirp):
+    return synthesize_beat(scene, chirp).samples.tobytes() == loop_synthesize_beat(scene, chirp).tobytes()
+
+
+class TestTermCache:
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(_scenes())
+    def test_cold_and_cached_synthesis_match_the_loop_bit_for_bit(self, scene):
+        with mock.patch.object(synth, "_TERMS", synth._TermCache(synth._TERM_CACHE_BYTES)):
+            for chirp in (DEFAULT_CHIRP, OTHER_RATE_CHIRP, OTHER_LENGTH_CHIRP) * 2:
+                assert _matches_oracle(scene, chirp)
+
+    def test_cache_stays_within_its_byte_cap(self):
+        class Watched(synth._TermCache):
+            peak = 0
+
+            def put(self, key, term):
+                term = super().put(key, term)
+                self.peak = max(self.peak, self.nbytes)
+                return term
+
+        cache = Watched(synth._TERM_CACHE_BYTES)
+        # 200 terms of 1000 float64 samples need 1.6 MB; the cap holds 131.
+        scene = Scene(
+            scatterers=tuple(
+                Scatterer(f"s{i}", 0.5 + 0.035 * i, Material("m", 0.5, 0.0)) for i in range(200)
+            )
+        )
+        with mock.patch.object(synth, "_TERMS", cache):
+            for _ in range(2):
+                assert _matches_oracle(scene, DEFAULT_CHIRP)
+                assert 0 < cache.peak <= synth._TERM_CACHE_BYTES
+                assert cache.nbytes == sum(t.nbytes for t in cache.terms.values())
+                assert len(cache.terms) == synth._TERM_CACHE_BYTES // (8 * DEFAULT_CHIRP.n_samples)
+                assert not any(t.flags.writeable for t in cache.terms.values())
+
+    def test_threads_sharing_the_cache_keep_its_byte_count(self):
+        # More threads than cores, switching often, over a cache that holds
+        # 40 of the 60 distinct terms, so lookups and evictions interleave.
+        cache = synth._TermCache(40 * 8 * DEFAULT_CHIRP.n_samples)
+        scenes = [
+            Scene(
+                scatterers=tuple(
+                    Scatterer(f"s{i}", 0.5 + 0.2 * i, Material("m", 0.5, 0.0)) for i in range(20)
+                ),
+                phase_seed=seed,
+            )
+            for seed in range(3)
+        ]
+        expected = [loop_synthesize_beat(scene, DEFAULT_CHIRP).tobytes() for scene in scenes]
+        mismatches = []
+
+        def work(offset):
+            for k in range(30):
+                i = (offset + k) % len(scenes)
+                if synthesize_beat(scenes[i], DEFAULT_CHIRP).samples.tobytes() != expected[i]:
+                    mismatches.append(i)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with mock.patch.object(synth, "_TERMS", cache):
+                threads = [threading.Thread(target=work, args=(n,)) for n in range(6)]
+                for th in threads:
+                    th.start()
+                for th in threads:
+                    th.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(th.is_alive() for th in threads)
+        assert mismatches == []
+        assert cache.nbytes == sum(t.nbytes for t in cache.terms.values()) <= cache.max_bytes
