@@ -41,9 +41,6 @@ class TierConfig:
     slow_range_m: float = 3.0
     slow_speed_cap: float = 0.25
     hysteresis_m: float = 0.2
-    # Peaks with no class assignment normally only show up in the cause
-    # text; flip this to treat them as people.
-    treat_unknown_as_human: bool = False
 
     def __post_init__(self) -> None:
         if not 0 < self.stop_range_m < self.slow_range_m:
@@ -53,7 +50,7 @@ class TierConfig:
             )
         if not 0 < self.slow_speed_cap < 1:
             raise ValueError(f"slow_speed_cap must be in (0, 1), got {self.slow_speed_cap}")
-        if self.hysteresis_m < 0:
+        if not self.hysteresis_m >= 0:  # NaN included
             raise ValueError(f"hysteresis_m must be >= 0, got {self.hysteresis_m}")
 
     def speed_cap_for(self, tier: SafetyTier) -> float:
@@ -85,18 +82,11 @@ def _tier_for(distance_m: float, stop_range_m: float, slow_range_m: float) -> Sa
 
 def update_tier(
     state: SafetyState,
-    classified_peaks: Sequence[tuple[Peak, TargetClass | None]],
+    classified_peaks: Sequence[tuple[Peak, TargetClass]],
     config: TierConfig = TierConfig(),
 ) -> SafetyState:
     """Advance the tier state machine by one scan of classified peaks."""
-    humans = [
-        p
-        for p, cls in classified_peaks
-        if cls == TargetClass.HUMAN
-        or (cls is None and config.treat_unknown_as_human)
-    ]
-    unknowns = [p for p, cls in classified_peaks if cls is None]
-
+    humans = [p for p, cls in classified_peaks if cls == TargetClass.HUMAN]
     if humans:
         nearest = min(humans, key=lambda p: p.range_m)
         distance = nearest.range_m
@@ -104,8 +94,6 @@ def update_tier(
     else:
         distance = math.inf
         cause = "clear"
-    if unknowns and not config.treat_unknown_as_human:
-        cause += f"; ignored {len(unknowns)} unclassified peak(s)"
 
     raw = _tier_for(distance, config.stop_range_m, config.slow_range_m)
     widened = _tier_for(

@@ -185,6 +185,8 @@ def _validate_pipeline(scenario: Scenario) -> None:
         raise ValueError("pipeline needs the 'profile' stage before any other stage")
     if "classify" in has and "rrm" not in has:
         raise ValueError("'classify' requires the 'rrm' stage")
+    if "safety" in has and not has & {"classify", "throughwall"}:
+        raise ValueError("'safety' requires the 'classify' or 'throughwall' stage")
     if ("rrm" in has or "throughwall" in has) and scenario.baseline_hint_m is None:
         raise ValueError("baseline_hint_m is required for 'rrm' or 'throughwall'")
     if "throughwall" in has and scenario.zone is None:

@@ -97,13 +97,6 @@ def _integer(node: dict, key: str, path: str, default: int | None) -> int | None
     return value
 
 
-def _boolean(node: dict, key: str, path: str, default: bool) -> bool:
-    value = node.get(key, default)
-    if not isinstance(value, bool):
-        raise ValueError(f"{path}.{key}: expected true or false, got {value!r}")
-    return value
-
-
 def _string(node: dict, key: str, path: str, default=None) -> str:
     if key not in node:
         if default is not None:
@@ -115,8 +108,16 @@ def _string(node: dict, key: str, path: str, default=None) -> str:
     return value
 
 
+def _kind(node: dict, key: str, path: str, default: TargetKind) -> TargetKind:
+    name = _string(node, key, path, default.value)
+    try:
+        return TargetKind(name)
+    except ValueError:
+        raise ValueError(f"{path}.{key}: unknown kind '{name}'") from None
+
+
 _READERS = {"float": _number, "int": _integer, "int | None": _integer,
-            "bool": _boolean, "str": _string}
+            "str": _string, "TargetKind": _kind}
 
 
 def _record(cls, node: dict, path: str, **given):
@@ -144,51 +145,26 @@ def _material(node, path: str) -> Material:
     return _record(Material, _expect_mapping(node, path), path)
 
 
-def _scatterer(node, path: str) -> Scatterer:
+def _reflector(cls, node, path: str, default_material: str):
+    """A Scatterer or Wall; an absent material is the default_material preset."""
     m = _expect_mapping(node, path)
-    kind_name = _string(m, "kind", path, default="generic")
-    try:
-        kind = TargetKind(kind_name)
-    except ValueError:
-        raise ValueError(f"{path}.kind: unknown kind '{kind_name}'") from None
-    return Scatterer(
-        id=_string(m, "id", path),
-        range_m=_number(m, "range_m", path),
-        material=_material(m.get("material", "human"), f"{path}.material"),
-        kind=kind,
-    )
-
-
-def _wall(node, path: str) -> Wall:
-    m = _expect_mapping(node, path)
-    return Wall(
-        id=_string(m, "id", path),
-        range_m=_number(m, "range_m", path),
-        material=_material(m.get("material", "plasterboard"), f"{path}.material"),
-    )
+    material = _material(m.get("material", default_material), f"{path}.material")
+    return _record(cls, m, path, material=material)
 
 
 def _chirp(doc: dict) -> ChirpConfig:
     node = _section(doc, "chirp")
-    if node is None:
-        return DEFAULT_CHIRP
-    values = {}
-    for f in fields(ChirpConfig):
-        value = _number(node, f.name, "chirp", getattr(DEFAULT_CHIRP, f.name))
-        if value <= 0:
-            raise ValueError(f"chirp.{f.name}: expected a positive number, got {value!r}")
-        values[f.name] = value
-    return ChirpConfig(**values)
+    return DEFAULT_CHIRP if node is None else _record(ChirpConfig, node, "chirp")
 
 
 def _scene(doc: dict) -> Scene:
     node = _expect_mapping(doc.get("scene", {}), "scene")
     scatterers = tuple(
-        _scatterer(s, f"scene.scatterers[{i}]")
+        _reflector(Scatterer, s, f"scene.scatterers[{i}]", "human")
         for i, s in enumerate(_expect_list(node.get("scatterers", []), "scene.scatterers"))
     )
     walls = tuple(
-        _wall(w, f"scene.walls[{i}]")
+        _reflector(Wall, w, f"scene.walls[{i}]", "plasterboard")
         for i, w in enumerate(_expect_list(node.get("walls", []), "scene.walls"))
     )
     return _record(Scene, node, "scene", scatterers=scatterers, walls=walls)
@@ -265,7 +241,7 @@ def _mutation(node, path: str) -> Mutation:
     m = _expect_mapping(node, path)
     op = _string(m, "op", path)
     if op == "add":
-        return AddScatterer(_scatterer(m.get("scatterer"), f"{path}.scatterer"))
+        return AddScatterer(_reflector(Scatterer, m.get("scatterer"), f"{path}.scatterer", "human"))
     if op == "move":
         return MoveScatterer(_string(m, "id", path), _number(m, "range_m", path))
     if op == "remove":

@@ -13,7 +13,7 @@ import hashlib
 import math
 import threading
 from collections import OrderedDict
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -35,16 +35,23 @@ _TERM_CACHE_BYTES = 2**20
 
 @dataclass(frozen=True)
 class ChirpConfig:
-    """Sawtooth FMCW sweep parameters.
+    """Sawtooth FMCW sweep parameters; every field must be positive.
 
     The sample count is fixed by sweep_time_s * sample_rate_hz; one sweep
-    is one scan.
+    is one scan. The defaults are a K-band stand-in: 24 GHz center, 2 GHz
+    sweep over 1 ms at 1 MS/s.
     """
 
-    center_freq_hz: float
-    bandwidth_hz: float
-    sweep_time_s: float
-    sample_rate_hz: float
+    center_freq_hz: float = 24e9
+    bandwidth_hz: float = 2e9
+    sweep_time_s: float = 1e-3
+    sample_rate_hz: float = 1e6
+
+    def __post_init__(self) -> None:
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if not value > 0:  # NaN included
+                raise ValueError(f"chirp.{f.name}: expected a positive number, got {value!r}")
 
     @property
     def n_samples(self) -> int:
@@ -61,13 +68,7 @@ class ChirpConfig:
         )
 
 
-# K-band stand-in: 24 GHz center, 2 GHz sweep over 1 ms at 1 MS/s.
-DEFAULT_CHIRP = ChirpConfig(
-    center_freq_hz=24e9,
-    bandwidth_hz=2e9,
-    sweep_time_s=1e-3,
-    sample_rate_hz=1e6,
-)
+DEFAULT_CHIRP = ChirpConfig()
 
 
 @dataclass(frozen=True)

@@ -9,6 +9,7 @@ approach/recede verdict.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import Sequence
@@ -40,9 +41,11 @@ class MonitorZone:
             raise ValueError(
                 f"zone must satisfy 0 < near_m < far_m, got ({self.near_m}, {self.far_m})"
             )
-        if self.excess_threshold <= 0:
-            raise ValueError(f"excess_threshold must be > 0, got {self.excess_threshold}")
-        if self.guard_bins < 0:
+        if not 0 < self.excess_threshold < math.inf:
+            raise ValueError(
+                f"excess_threshold must be finite and > 0, got {self.excess_threshold}"
+            )
+        if not self.guard_bins >= 0:  # NaN included
             raise ValueError(f"guard_bins must be >= 0, got {self.guard_bins}")
 
     def monitored_interval(self, bin_spacing_m: float) -> tuple[float, float]:

@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from wallsense import (
@@ -75,24 +77,6 @@ class TestTierSelection:
         cfg = TierConfig(slow_speed_cap=0.4)
         state = update_tier(INITIAL_STATE, [_human(2.0)], cfg)
         assert state.speed_cap == 0.4
-
-
-class TestUnknownPeaks:
-    def test_ignored_by_default_but_logged(self):
-        state = update_tier(INITIAL_STATE, [(_peak(0.5), None)])
-        assert state.tier is SafetyTier.NORMAL
-        assert state.cause == "clear; ignored 1 unclassified peak(s)"
-
-    def test_logged_alongside_a_human_cause(self):
-        state = update_tier(INITIAL_STATE, [_human(2.0), (_peak(0.5), None)])
-        assert state.tier is SafetyTier.SLOW
-        assert state.cause == "human at 2.00 m; ignored 1 unclassified peak(s)"
-
-    def test_opt_in_treats_unknown_as_human(self):
-        cfg = TierConfig(treat_unknown_as_human=True)
-        state = update_tier(INITIAL_STATE, [(_peak(0.8), None)], cfg)
-        assert state.tier is SafetyTier.STOP
-        assert state.cause == "human at 0.80 m"
 
 
 class TestHysteresis:
@@ -190,6 +174,11 @@ class TestTierConfigValidation:
     def test_hysteresis_must_be_nonnegative(self):
         with pytest.raises(ValueError, match="hysteresis_m"):
             TierConfig(hysteresis_m=-0.1)
+
+    def test_nan_hysteresis_is_rejected(self):
+        # Accepted, NaN would turn hysteresis off: every widened comparison is false.
+        with pytest.raises(ValueError, match=r"^hysteresis_m must be >= 0, got nan$"):
+            TierConfig(hysteresis_m=math.nan)
 
     def test_initial_state(self):
         assert INITIAL_STATE == SafetyState(SafetyTier.NORMAL, 1.0, True, "clear")

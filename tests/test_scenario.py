@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from wallsense import (
     DEFAULT_BANDS,
+    DEFAULT_CHIRP,
     HUMAN_BODY,
     LAB_WALL,
     SHEET_METAL,
@@ -139,6 +140,14 @@ class TestPipelineValidation:
                 _scenario([], pipeline=("profile", "throughwall"), baseline_hint_m=6.0)
             )
 
+    def test_safety_needs_classify_or_throughwall(self):
+        # Without either, the safety log would read Normal with a person in front.
+        message = "'safety' requires the 'classify' or 'throughwall' stage"
+        with pytest.raises(ValueError, match=message):
+            run_scenario(
+                _scenario([], pipeline=("profile", "rrm", "safety"), baseline_hint_m=6.0)
+            )
+
 
 class TestRunScenario:
     def test_zero_steps(self):
@@ -170,6 +179,11 @@ class TestRunScenario:
         ]
         with pytest.raises(ScenarioError, match=r"step 1 \('oops'\) stage 'profile'"):
             run_scenario(_scenario(steps))
+
+    def test_zero_bandwidth_chirp_is_a_value_error(self):
+        traverse = builtin_scenario("copper_traverse")
+        with pytest.raises(ValueError, match=r"^chirp\.bandwidth_hz: expected a positive number"):
+            run_scenario(replace(traverse, chirp=replace(DEFAULT_CHIRP, bandwidth_hz=0.0)))
 
     def test_baseline_capture_failures_surface_directly(self):
         with pytest.raises(ValueError, match="reference feature not found"):

@@ -6,7 +6,10 @@ import pytest
 from wallsense import (
     DEFAULT_BANDS,
     DEFAULT_CHIRP,
+    HUMAN_BODY,
+    PLASTERBOARD,
     AddScatterer,
+    ChirpConfig,
     ClassBands,
     Material,
     MonitorZone,
@@ -17,6 +20,7 @@ from wallsense import (
     TargetClass,
     TargetKind,
     TierConfig,
+    Wall,
     bands_from_mapping,
     bands_to_json,
     load_bands,
@@ -48,7 +52,7 @@ FULL_DOC = {
     "baseline": {"feature_range_hint": 6.0},
     "classifier": {"bands": {"infrastructure_max": 1.2, "human_max": 4.0}},
     "monitor": {"zone": {"near_m": 0.1, "far_m": 2.6, "excess_threshold": 0.02}},
-    "safety": {"tiers": {"stop_range_m": 0.8, "treat_unknown_as_human": True}},
+    "safety": {"tiers": {"stop_range_m": 0.8}},
     "detector": {"min_rsa": 3e-4, "min_prominence": 2e-4},
 }
 
@@ -76,6 +80,20 @@ class TestParseSceneConfig:
         assert cfg.tier_config == TierConfig()
         assert parse_scene_config({"scene": {}}).scene == Scene()
 
+        # Sparse reflectors and chirp: the material defaults to the human or
+        # plasterboard preset, every other key to the dataclass default.
+        cfg = parse_scene_config({
+            "chirp": {"bandwidth_hz": 1e9},
+            "scene": {
+                "scatterers": [{"id": "s", "range_m": 2.0}],
+                "walls": [{"id": "w", "range_m": 6.0}],
+            },
+        })
+        assert cfg.chirp == ChirpConfig(bandwidth_hz=1e9)
+        assert cfg.scene.scatterers == (Scatterer("s", 2.0, HUMAN_BODY),)
+        assert cfg.scene.walls == (Wall("w", 6.0, PLASTERBOARD),)
+        assert parse_scene_config({"chirp": {}}).chirp == ChirpConfig()
+
     def test_full_document(self):
         cfg = parse_scene_config(FULL_DOC)
         assert cfg.chirp.bandwidth_hz == 1e9
@@ -92,7 +110,6 @@ class TestParseSceneConfig:
         assert (cfg.zone.near_m, cfg.zone.far_m) == (0.1, 2.6)
         assert cfg.zone.excess_threshold == 0.02
         assert cfg.tier_config.stop_range_m == 0.8
-        assert cfg.tier_config.treat_unknown_as_human is True
         assert cfg.detect_min_rsa == 3e-4
 
     def test_unknown_material_preset(self):
@@ -182,13 +199,6 @@ class TestStrictFields:
     def test_phase_seed_rejects_booleans(self):
         with pytest.raises(ValueError, match=r"scene\.phase_seed: expected an integer, got True"):
             parse_scene_config({"scene": {"phase_seed": True}})
-
-    def test_treat_unknown_as_human_must_be_a_boolean(self):
-        doc = {"safety": {"tiers": {"treat_unknown_as_human": "false"}}}
-        with pytest.raises(
-            ValueError, match=r"safety\.tiers\.treat_unknown_as_human: expected true or false"
-        ):
-            parse_scene_config(doc)
 
     def test_null_phase_seed_means_unset(self):
         assert parse_scene_config({"scene": {"phase_seed": None}}).scene.phase_seed is None

@@ -1,3 +1,6 @@
+import dataclasses
+import math
+import re
 import sys
 import threading
 from unittest import mock
@@ -46,6 +49,13 @@ class TestChirpConfig:
         expected = SPEED_OF_LIGHT_M_S * 1e6 * 1e-3 / (4 * 2e9)
         assert DEFAULT_CHIRP.max_unambiguous_range_m == pytest.approx(expected, rel=1e-12)
         assert DEFAULT_CHIRP.max_unambiguous_range_m > 8.0
+
+    @pytest.mark.parametrize("field", [f.name for f in dataclasses.fields(ChirpConfig)])
+    @pytest.mark.parametrize("value", [0.0, -1.0, math.nan])
+    def test_fields_must_be_positive(self, field, value):
+        message = f"chirp.{field}: expected a positive number, got {value!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            ChirpConfig(**{field: value})
 
 
 class TestBeatFrequency:
@@ -141,7 +151,6 @@ class TestSynthesizeBeat:
             (1e200, 1e200),  # the product overflows to inf
             (1e300, 1e6),  # finite, but too large to round into an array size
             (2 * MAX_SAMPLES / 1e6, 1e6),
-            (float("nan"), 1e6),
         ],
     )
     def test_sample_count_is_bounded_before_rounding(self, sweep_time_s, sample_rate_hz):

@@ -56,6 +56,17 @@ class TestMonitorZone:
         with pytest.raises(ValueError, match="guard_bins"):
             MonitorZone(0.1, 2.6, guard_bins=-1)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_excess_threshold_must_be_finite(self, value):
+        # Accepted, either value would report every scan empty.
+        message = f"^excess_threshold must be finite and > 0, got {value}$"
+        with pytest.raises(ValueError, match=message):
+            MonitorZone(0.1, 2.6, excess_threshold=value)
+
+    def test_nan_guard_bins_is_rejected(self):
+        with pytest.raises(ValueError, match=r"^guard_bins must be >= 0, got nan$"):
+            MonitorZone(0.1, 2.6, guard_bins=math.nan)
+
 
 class TestDetectOccupancy:
     def test_empty_room_matches_its_own_baseline(self):
