@@ -83,11 +83,9 @@ from .scenario import (
     ScenarioError,
     ScenarioStep,
     StepResult,
-    SummaryRow,
     apply_mutations,
     builtin_scenario,
     run_scenario,
-    summarize,
     summary_to_csv,
     write_run_result,
 )

@@ -87,8 +87,12 @@ def capture_baseline(
     for p in profiles[1:]:
         if p.chirp != chirp:
             raise ValueError("baseline profiles must share one chirp configuration")
+    if feature_range_hint_m is not None and not math.isfinite(feature_range_hint_m):
+        raise ValueError(
+            f"feature_range_hint_m must be a finite number, got {feature_range_hint_m!r}"
+        )
     mean_rsa = np.mean([p.rsa for p in profiles], axis=0)
-    averaged = RangeProfile(np.array(profiles[0].ranges_m), mean_rsa, chirp)
+    averaged = RangeProfile(mean_rsa, chirp)
 
     floor = MIN_RSA_FRACTION * float(mean_rsa.max()) if mean_rsa.size else 0.0
     peaks = find_peaks_in_series(averaged.ranges_m, averaged.rsa, min_rsa=floor)
@@ -175,21 +179,18 @@ def calibrate_bands(labeled: Iterable[tuple[float, TargetClass]]) -> ClassBands:
                 f"{max(groups[lower])} >= min({upper.name.title()}) = {min(groups[upper])}"
             )
 
-    if TargetClass.INFRASTRUCTURE in groups and TargetClass.HUMAN in groups:
-        infrastructure_max = math.sqrt(
-            max(groups[TargetClass.INFRASTRUCTURE]) * min(groups[TargetClass.HUMAN])
-        )
+    # Human is present from here on: two classes without it were rejected above.
+    human = groups[TargetClass.HUMAN]
+    if TargetClass.INFRASTRUCTURE in groups:
+        infrastructure_max = math.sqrt(max(groups[TargetClass.INFRASTRUCTURE]) * min(human))
     else:
         infrastructure_max = 1.0
-        low = groups.get(TargetClass.HUMAN) or groups[TargetClass.METALLIC]
-        if min(low) <= infrastructure_max:
+        if min(human) <= infrastructure_max:
             raise ValueError(
                 "class rrm ranges not separable from the Infrastructure anchor 1.0"
             )
-    if TargetClass.HUMAN in groups and TargetClass.METALLIC in groups:
-        human_max = math.sqrt(
-            max(groups[TargetClass.HUMAN]) * min(groups[TargetClass.METALLIC])
-        )
+    if TargetClass.METALLIC in groups:
+        human_max = math.sqrt(max(human) * min(groups[TargetClass.METALLIC]))
     else:
         human_max = math.inf
     return ClassBands(infrastructure_max, human_max)

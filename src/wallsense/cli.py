@@ -96,8 +96,7 @@ def _cmd_monitor(args: argparse.Namespace) -> int:
     zone = base_cfg.zone
     if args.zone:
         near, far = _parse_zone_flag(args.zone)
-        defaults = zone or MonitorZone(near, far)
-        zone = MonitorZone(near, far, defaults.excess_threshold, defaults.guard_bins)
+        zone = replace(zone, near_m=near, far_m=far) if zone else MonitorZone(near, far)
     if zone is None:
         raise ValueError("no monitor zone: pass --zone near,far or a monitor.zone section")
     base_cfg = replace(

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import cache
 
 import numpy as np
 
@@ -25,15 +26,20 @@ class Window(Enum):
 class RangeProfile:
     """Return-signal amplitude per range bin for one scan."""
 
-    ranges_m: np.ndarray
     rsa: np.ndarray
     chirp: ChirpConfig
 
     def __post_init__(self) -> None:
-        if len(self.ranges_m) != len(self.rsa):
-            raise ValueError("ranges_m and rsa lengths differ")
-        self.ranges_m.flags.writeable = False
+        if len(self.rsa) != self.chirp.n_samples // 2:
+            raise ValueError(
+                f"rsa has {len(self.rsa)} bins, chirp expects {self.chirp.n_samples // 2}"
+            )
         self.rsa.flags.writeable = False
+
+    @property
+    def ranges_m(self) -> np.ndarray:
+        """Range of each bin; one read-only array shared by every profile of a chirp."""
+        return _bin_ranges(self.chirp)
 
     @property
     def bin_spacing_m(self) -> float:
@@ -73,9 +79,11 @@ def bin_spacing_m(chirp: ChirpConfig) -> float:
     )
 
 
+@cache
 def _bin_ranges(chirp: ChirpConfig) -> np.ndarray:
-    n_bins = chirp.n_samples // 2
-    return np.arange(n_bins) * bin_spacing_m(chirp)
+    ranges = np.arange(chirp.n_samples // 2) * bin_spacing_m(chirp)
+    ranges.flags.writeable = False
+    return ranges
 
 
 def range_profile(beat: BeatSignal, window: Window = Window.HANN) -> RangeProfile:
@@ -91,7 +99,7 @@ def range_profile(beat: BeatSignal, window: Window = Window.HANN) -> RangeProfil
     elif window is not Window.RECT:
         raise ValueError(f"unknown window {window!r}")
     spectrum = np.abs(np.fft.rfft(x))[: n // 2] * (2.0 / n)
-    return RangeProfile(_bin_ranges(beat.chirp), spectrum, beat.chirp)
+    return RangeProfile(spectrum, beat.chirp)
 
 
 def _plateau_maxima(values: np.ndarray) -> list[int]:
@@ -161,8 +169,9 @@ def detect_peaks(
     Maxima must be strictly greater than both neighbours (plateaus count
     once, at their lowest-range bin) and must clear both thresholds.
     """
-    if min_prominence < 0 or min_rsa < 0:
-        raise ValueError("thresholds must be >= 0")
+    for name, value in (("min_prominence", min_prominence), ("min_rsa", min_rsa)):
+        if not (value >= 0):
+            raise ValueError(f"thresholds must be >= 0, got {name}={value!r}")
     return find_peaks_in_series(profile.ranges_m, profile.rsa, min_prominence, min_rsa)
 
 

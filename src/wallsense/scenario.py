@@ -114,17 +114,11 @@ class StepResult:
     scene: Scene
     true_range_m: float | None
     profile: RangeProfile
-    peaks: tuple[Peak, ...]
+    peaks: tuple[Peak, ...]  # picked by the rrm stage only; () without it
     # One entry per non-reference peak: (peak, rrm, class or None).
     readings: tuple[tuple[Peak, float, TargetClass | None], ...]
     occupancy: OccupancyReport | None
     safety: SafetyState | None
-
-    def target(self) -> tuple[Peak, float, TargetClass | None] | None:
-        """Strongest non-reference peak; the step's presumed subject."""
-        if not self.readings:
-            return None
-        return max(self.readings, key=lambda entry: entry[0].rsa)
 
 
 @dataclass(frozen=True)
@@ -133,15 +127,6 @@ class RunResult:
     baseline: Baseline | None
     steps: tuple[StepResult, ...]
     track: ApproachTrack | None
-
-
-@dataclass(frozen=True)
-class SummaryRow:
-    step: str
-    true_range_m: float | None
-    detected_range_m: float | None
-    rrm: float | None
-    target_class: TargetClass | None
 
 
 def apply_mutations(scene: Scene, mutations: tuple[Mutation, ...]) -> Scene:
@@ -237,12 +222,14 @@ def _run_scans(
         try:
             scene = apply_mutations(scan, step.mutations)
             prof = range_profile(synthesize_beat(scene, scenario.chirp), Window.HANN)
-            peaks = tuple(
-                detect_peaks(prof, scenario.detect_min_prominence, scenario.detect_min_rsa)
-            )
 
+            peaks: tuple[Peak, ...] = ()
             readings: list[tuple[Peak, float, TargetClass | None]] = []
             if "rrm" in pipeline:
+                stage = "rrm"
+                peaks = tuple(
+                    detect_peaks(prof, scenario.detect_min_prominence, scenario.detect_min_rsa)
+                )
                 ref_bin = baseline.reference_feature.bin_index
                 for p in peaks:
                     if abs(p.bin_index - ref_bin) <= REFERENCE_EXCLUSION_BINS:
@@ -290,24 +277,6 @@ def _run_scans(
     reports = [r.occupancy for r in results]
     track = track_approach(reports, scenario.zone) if "throughwall" in pipeline else None
     return RunResult(scenario, baseline, tuple(results), track)
-
-
-def summarize(result: RunResult) -> list[SummaryRow]:
-    """One row per step: subject range, rrm, and class.
-
-    Requires the rrm stage; an empty run yields an empty table.
-    """
-    if "rrm" not in result.scenario.pipeline:
-        raise ValueError("summarize needs a run that included the 'rrm' stage")
-    rows = []
-    for step in result.steps:
-        target = step.target()
-        if target is None:
-            rows.append(SummaryRow(step.name, step.true_range_m, None, None, None))
-        else:
-            peak, ratio, cls = target
-            rows.append(SummaryRow(step.name, step.true_range_m, peak.range_m, ratio, cls))
-    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -394,13 +363,20 @@ def _fmt(value: float | None) -> str:
 
 
 def summary_to_csv(result: RunResult) -> str:
+    """One row per step for its subject, the strongest non-reference peak.
+
+    Requires the rrm stage; a step with no subject leaves the last three
+    columns blank.
+    """
+    if "rrm" not in result.scenario.pipeline:
+        raise ValueError("summary_to_csv needs a run that included the 'rrm' stage")
     lines = ["step,true_range_m,detected_range_m,rrm,class"]
-    for row in summarize(result):
-        cls = "" if row.target_class is None else str(row.target_class)
-        lines.append(
-            f"{row.step},{_fmt(row.true_range_m)},{_fmt(row.detected_range_m)},"
-            f"{_fmt(row.rrm)},{cls}"
-        )
+    for step in result.steps:
+        detected = ",,"
+        if step.readings:
+            peak, ratio, cls = max(step.readings, key=lambda entry: entry[0].rsa)
+            detected = f"{_fmt(peak.range_m)},{_fmt(ratio)},{'' if cls is None else str(cls)}"
+        lines.append(f"{step.name},{_fmt(step.true_range_m)},{detected}")
     return "\n".join(lines) + "\n"
 
 

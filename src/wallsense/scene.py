@@ -118,6 +118,14 @@ def _check_range(owner: str, range_m: float, max_range_m: float, out: list[str])
         out.append(f"{owner}: range_m must be > 0, got {range_m}")
     elif not range_m < max_range_m:
         out.append(f"{owner} at {range_m} m is out of bounds (max_range_m {max_range_m})")
+    else:
+        # The spreading gain _amplitude applies; below about 7.5e-155 m it overflows.
+        try:
+            gain = (REFERENCE_RANGE_M / range_m) ** 2
+        except OverflowError:
+            gain = math.inf
+        if not math.isfinite(gain):
+            out.append(f"{owner}: range_m {range_m} is too small, its spreading gain overflows")
 
 
 def validate_scene(scene: Scene) -> None:

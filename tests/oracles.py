@@ -9,7 +9,6 @@ from wallsense import (
     RangeProfile,
     Scene,
     beat_frequency,
-    bin_spacing_m,
     reflector_phase,
 )
 
@@ -26,8 +25,7 @@ def naive_spectrum(beat: BeatSignal) -> RangeProfile:
     mags = np.empty(n // 2)
     for k in range(n // 2):
         mags[k] = np.abs(np.dot(x, np.exp(-2j * np.pi * k * idx / n)))
-    ranges = np.arange(n // 2) * bin_spacing_m(beat.chirp)
-    return RangeProfile(ranges, mags * (2.0 / n), beat.chirp)
+    return RangeProfile(mags * (2.0 / n), beat.chirp)
 
 
 def loop_synthesize_beat(scene: Scene, chirp: ChirpConfig) -> np.ndarray:

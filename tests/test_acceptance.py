@@ -69,8 +69,7 @@ def _verdict(criterion: str, ok: bool, detail: str) -> None:
 
 
 def _dummy_baseline(ref_rsa: float) -> Baseline:
-    ranges = np.arange(500) * 0.0749481145
-    prof = RangeProfile(ranges, np.zeros(500), DEFAULT_CHIRP)
+    prof = RangeProfile(np.zeros(500), DEFAULT_CHIRP)
     return Baseline(prof, Peak(6.0, ref_rsa, ref_rsa, 80), "ref")
 
 

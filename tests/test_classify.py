@@ -43,8 +43,7 @@ def _wall_profile(noise=0.0, seed=0):
 
 
 def _dummy_baseline(ref_range_m, ref_rsa, label="baseline"):
-    ranges = np.arange(500) * 0.0749481145
-    prof = RangeProfile(ranges, np.zeros(500), DEFAULT_CHIRP)
+    prof = RangeProfile(np.zeros(500), DEFAULT_CHIRP)
     ref = Peak(ref_range_m, ref_rsa, ref_rsa, int(round(ref_range_m / 0.0749481145)))
     return Baseline(prof, ref, label)
 

@@ -25,8 +25,9 @@ from test_golden import DOCS
 
 # No value here makes a run allocate a large array: 1e300 as sweep_time_s
 # or sample_rate_hz, and 1 as sweep_time_s, ask for more samples than
-# synth.MAX_SAMPLES and fail before synthesis.
-POOL = (None, "", [], {}, True, -1, 0, 1e300, "x", [{}])
+# synth.MAX_SAMPLES and fail before synthesis. 1e-200 as a range_m makes
+# the inverse-square spreading gain overflow.
+POOL = (None, "", [], {}, True, -1, 0, 1e300, 1e-200, "x", [{}])
 
 BASES = [
     *(("simulate", name) for name, doc in sorted(DOCS.items())
@@ -91,6 +92,8 @@ def _mutations(draw):
 @given(_mutations())
 @example(("simulate", "noisy_room.json", ("scene", "scatterers", 1, "extent_m", 0), None))
 @example(("scenario", "walk.json", ("chirp", "sweep_time_s"), 1e300))
+@example(("simulate", "noisy_room.json", ("scene", "scatterers", 0, "range_m"), 1e-200))
+@example(("simulate", "noisy_room.json", ("scene", "walls", 0, "range_m"), 1e-200))
 def test_one_replaced_leaf_never_raises(case):
     command, name, path, value = case
     code, err = _run(command, _replaced(_base(name), path, value))

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,7 @@ from wallsense import (
     BeatSignal,
     ChirpConfig,
     Material,
+    RangeProfile,
     Scatterer,
     Scene,
     Wall,
@@ -43,6 +46,17 @@ class TestRangeProfile:
         # N == fs*T here, so bins are spaced by the range resolution.
         assert prof.bin_spacing_m == pytest.approx(range_resolution(DEFAULT_CHIRP), rel=1e-12)
         assert np.allclose(np.diff(prof.ranges_m), prof.bin_spacing_m)
+
+    def test_profiles_of_one_chirp_share_one_read_only_range_axis(self):
+        a = range_profile(synthesize_beat(Scene(), DEFAULT_CHIRP))
+        b = range_profile(synthesize_beat(Scene(rng_seed=1), DEFAULT_CHIRP))
+        assert a.ranges_m is b.ranges_m
+        assert not a.ranges_m.flags.writeable
+        assert not a.rsa.flags.writeable
+
+    def test_rsa_of_the_wrong_length_is_rejected(self):
+        with pytest.raises(ValueError, match=r"^rsa has 499 bins, chirp expects 500$"):
+            RangeProfile(np.zeros(499), DEFAULT_CHIRP)
 
     def test_on_bin_tone_reads_its_amplitude_under_rect(self):
         # rsa is scaled by 2/N, so a unit tone on bin 25 shows rsa 1.0.
@@ -133,6 +147,13 @@ class TestDetectPeaks:
         prof = range_profile(synthesize_beat(Scene(), DEFAULT_CHIRP))
         with pytest.raises(ValueError, match="thresholds"):
             detect_peaks(prof, min_prominence=-1.0)
+
+    @pytest.mark.parametrize("name", ["min_prominence", "min_rsa"])
+    def test_nan_threshold_raises_naming_it(self, name):
+        # Every comparison with NaN is false, so it would drop every peak.
+        prof = range_profile(synthesize_beat(Scene(), DEFAULT_CHIRP))
+        with pytest.raises(ValueError, match=rf"^thresholds must be >= 0, got {name}=nan$"):
+            detect_peaks(prof, **{name: math.nan})
 
     def test_noise_recovery_rate(self):
         # Quick version of the statistical gate: exact reflector set on

@@ -1,7 +1,9 @@
-"""The README's scene-document example parses and uses only keys the parser reads.
+"""The README's examples still match the package.
 
-The parser ignores keys it does not know, so a key whose field is deleted
-would otherwise stay in the example unnoticed.
+The scene-document example parses and uses only keys the parser reads:
+the parser ignores keys it does not know, so a key whose field is deleted
+would otherwise stay in the example unnoticed. The library quickstart
+runs and prints what its comment says.
 """
 
 import dataclasses
@@ -24,9 +26,13 @@ from wallsense import (
 README = Path(__file__).resolve().parent.parent / "README.md"
 
 
+def _block(heading: str, language: str) -> str:
+    section = README.read_text().split(f"\n## {heading}\n", 1)[1]
+    return re.search(rf"```{language}\n(.*?)```", section, re.S).group(1)
+
+
 def _example() -> dict:
-    section = README.read_text().split("\n## Scene documents\n", 1)[1]
-    return json.loads(re.search(r"```json\n(.*?)```", section, re.S).group(1))
+    return json.loads(_block("Scene documents", "json"))
 
 
 def _fields(cls) -> set[str]:
@@ -69,3 +75,8 @@ def test_scene_document_example_names_only_record_fields():
         f"{path}.{key}" for path, node, allowed in records for key in node if key not in allowed
     ]
     assert stray == []
+
+
+def test_library_quickstart_prints_human(capsys):
+    exec(compile(_block("Library quickstart", "python"), "README.md", "exec"), {})
+    assert capsys.readouterr().out == "Human\n"

@@ -1,3 +1,6 @@
+import csv
+import io
+import math
 from dataclasses import replace
 from types import SimpleNamespace
 
@@ -29,7 +32,6 @@ from wallsense import (
     apply_mutations,
     builtin_scenario,
     run_scenario,
-    summarize,
     summary_to_csv,
     track_approach,
     write_run_result,
@@ -41,6 +43,10 @@ BACK_WALL = Wall("back", 6.0, LAB_WALL)
 
 def _person(sid, r):
     return Scatterer(sid, r, HUMAN_BODY)
+
+
+def _summary_rows(result):
+    return list(csv.DictReader(io.StringIO(summary_to_csv(result))))
 
 
 def _scenario(steps, pipeline=("profile",), base=None, **kwargs):
@@ -156,7 +162,7 @@ class TestRunScenario:
         )
         assert result.steps == ()
         assert result.baseline is not None
-        assert summarize(result) == []
+        assert _summary_rows(result) == []
 
     def test_profile_only_run_has_no_optional_artifacts(self):
         result = run_scenario(_scenario([ScenarioStep("only")]))
@@ -165,12 +171,30 @@ class TestRunScenario:
         assert step.readings == ()
         assert step.occupancy is None
         assert step.safety is None
-        assert len(step.peaks) == 1  # the back wall
+        assert step.peaks == ()  # only the rrm stage picks peaks
 
-    def test_summarize_requires_the_rrm_stage(self):
+    def test_throughwall_only_run_has_no_peaks(self, traverse_result):
+        steps = traverse_result.steps
+        assert all(step.peaks == () and step.occupancy.occupied for step in steps)
+
+    def test_summary_requires_the_rrm_stage(self):
         result = run_scenario(_scenario([ScenarioStep("only")]))
         with pytest.raises(ValueError, match="'rrm' stage"):
-            summarize(result)
+            summary_to_csv(result)
+
+    @pytest.mark.parametrize("field", ["detect_min_rsa", "detect_min_prominence"])
+    def test_nan_detector_threshold_is_rejected(self, field):
+        # NaN would fail every height test and drop the person at 1 m unseen.
+        sweep = replace(builtin_scenario("human_sweep"), **{field: math.nan})
+        message = r"step 0 \('human_at_1m'\) stage 'rrm': thresholds must be >= 0, got "
+        with pytest.raises(ScenarioError, match=message + field.removeprefix("detect_") + "=nan"):
+            run_scenario(sweep)
+
+    @pytest.mark.parametrize("hint", [math.nan, math.inf])
+    def test_non_finite_baseline_hint_is_rejected(self, hint):
+        sweep = replace(builtin_scenario("human_sweep"), baseline_hint_m=hint)
+        with pytest.raises(ValueError, match=r"^feature_range_hint_m must be a finite number"):
+            run_scenario(sweep)
 
     def test_stage_failures_carry_step_and_stage(self):
         steps = [
@@ -199,8 +223,8 @@ class TestRunScenario:
                 baseline_hint_m=6.0,
             )
         )
-        row = summarize(result)[0]
-        assert (row.detected_range_m, row.rrm, row.target_class) == (None, None, None)
+        row = _summary_rows(result)[0]
+        assert (row["detected_range_m"], row["rrm"], row["class"]) == ("", "", "")
         assert summary_to_csv(result).splitlines()[1] == "empty,,,,"
 
 
@@ -220,17 +244,17 @@ class TestHumanSweep:
         return sweep_result
 
     def test_every_step_classifies_human(self, result):
-        rows = summarize(result)
-        assert [r.target_class for r in rows] == [TargetClass.HUMAN] * 4
+        rows = _summary_rows(result)
+        assert [r["class"] for r in rows] == [str(TargetClass.HUMAN)] * 4
 
     def test_localization_within_one_bin(self, result):
         spacing = result.steps[0].profile.bin_spacing_m
-        for row in summarize(result):
-            assert abs(row.detected_range_m - row.true_range_m) <= spacing
+        for row in _summary_rows(result):
+            assert abs(float(row["detected_range_m"]) - float(row["true_range_m"])) <= spacing
 
     def test_rrm_values_sit_inside_the_human_band(self, result):
-        for row in summarize(result):
-            assert DEFAULT_BANDS.infrastructure_max < row.rrm <= DEFAULT_BANDS.human_max
+        for row in _summary_rows(result):
+            assert DEFAULT_BANDS.infrastructure_max < float(row["rrm"]) <= DEFAULT_BANDS.human_max
 
     def test_safety_tier_sequence(self, result):
         tiers = [s.safety.tier for s in result.steps]

@@ -104,6 +104,18 @@ class TestValidateScene:
         with pytest.raises(ValueError, match=r"^wall 'w': range_m must be > 0, got nan"):
             validate_scene(scene)
 
+    @pytest.mark.parametrize("value", [1e-200, 5e-324])
+    def test_range_whose_spreading_gain_overflows_is_flagged(self, value):
+        scene = Scene(
+            scatterers=(_scatterer("s", value),), walls=(Wall("w", value, PLASTERBOARD),)
+        )
+        gain = rf"range_m {value} is too small, its spreading gain overflows"
+        with pytest.raises(ValueError, match=rf"^scatterer 's': {gain}; wall 'w': {gain}$"):
+            validate_scene(scene)
+
+    def test_smallest_ranges_with_a_finite_gain_are_valid(self):
+        validate_scene(Scene(scatterers=(_scatterer("s", 1e-154),)))
+
     def test_nan_max_range_is_flagged(self):
         with pytest.raises(ValueError, match=r"^scene\.max_range_m must be > 0, got nan$"):
             validate_scene(Scene(max_range_m=NAN))
