@@ -153,12 +153,16 @@ def apply_mutations(scene: Scene, mutations: tuple[Mutation, ...]) -> Scene:
 
 
 def _declared_target_range(step: ScenarioStep) -> float | None:
-    for m in reversed(step.mutations):
+    # The range of the last added or moved scatterer, unless it was removed after.
+    target_id, range_m = None, None
+    for m in step.mutations:
         if isinstance(m, AddScatterer):
-            return m.scatterer.range_m
-        if isinstance(m, MoveScatterer):
-            return m.range_m
-    return None
+            target_id, range_m = m.scatterer.id, m.scatterer.range_m
+        elif isinstance(m, MoveScatterer):
+            target_id, range_m = m.scatterer_id, m.range_m
+        elif isinstance(m, RemoveScatterer) and m.scatterer_id == target_id:
+            range_m = None
+    return range_m
 
 
 def _validate_pipeline(scenario: Scenario) -> None:

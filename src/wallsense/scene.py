@@ -139,6 +139,8 @@ def validate_scene(scene: Scene) -> None:
         v.append(f"scene.max_range_m must be > 0, got {scene.max_range_m}")
     if not 0 <= scene.noise_amplitude < math.inf:
         v.append(f"scene.noise_amplitude must be finite and >= 0, got {scene.noise_amplitude}")
+    if not scene.rng_seed >= 0:
+        v.append(f"scene.rng_seed must be >= 0, got {scene.rng_seed}")
 
     for s in scene.scatterers:
         owner = f"scatterer '{s.id}'"

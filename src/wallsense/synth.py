@@ -8,11 +8,8 @@ which keeps every run bit-identical for identical inputs.
 
 from __future__ import annotations
 
-import functools
 import hashlib
 import math
-import threading
-from collections import OrderedDict
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -26,11 +23,10 @@ MIN_SAMPLES = 16
 # reach 2.4 km, where the default 1000 reach 37 m.
 MAX_SAMPLES = 2**16
 
-# A static room scanned again and again repeats most of its reflector
-# terms bit for bit, so synthesize_beat keeps the most recently used ones,
-# up to this many bytes: 131 terms at the default 1000 samples, two at
-# MAX_SAMPLES.
-_TERM_CACHE_BYTES = 2**20
+# A static room scanned again and again repeats its leading reflectors bit
+# for bit, so synthesize_beat keeps the last scan's running sums, up to
+# this many bytes: 131 sums at the default 1000 samples, two at MAX_SAMPLES.
+_MEMO_BYTES = 2**20
 
 
 @dataclass(frozen=True)
@@ -111,42 +107,9 @@ def reflector_phase(phase_seed: int, reflector_id: str) -> float:
     return int.from_bytes(digest[:8], "big") / 2.0**64 * 2.0 * math.pi
 
 
-# typed: True and 1 hash alike but format differently into the digest.
-_phase = functools.lru_cache(maxsize=4096, typed=True)(reflector_phase)
-
-
-class _TermCache:
-    """Least-recently-used map from a term's key to its read-only samples.
-
-    Bounded by the total nbytes of the arrays it holds. The lock keeps the
-    order and the byte count consistent when threads synthesize at once.
-    """
-
-    def __init__(self, max_bytes: int) -> None:
-        self.max_bytes = max_bytes
-        self.nbytes = 0
-        self.terms: OrderedDict[tuple, np.ndarray] = OrderedDict()
-        self._lock = threading.Lock()
-
-    def get(self, key: tuple) -> np.ndarray | None:
-        with self._lock:
-            term = self.terms.get(key)
-            if term is not None:
-                self.terms.move_to_end(key)
-            return term
-
-    def put(self, key: tuple, term: np.ndarray) -> np.ndarray:
-        term.flags.writeable = False
-        with self._lock:
-            if key not in self.terms:
-                self.terms[key] = term
-                self.nbytes += term.nbytes
-                while self.nbytes > self.max_bytes:
-                    self.nbytes -= self.terms.popitem(last=False)[1].nbytes
-        return term
-
-
-_TERMS = _TermCache(_TERM_CACHE_BYTES)
+# (root, reflectors, sums) of the last call: sums[i] is the read-only sum
+# of the terms of reflectors[:i + 1].
+_last: tuple = (None, (), ())
 
 
 def synthesize_beat(scene: Scene, chirp: ChirpConfig = DEFAULT_CHIRP) -> BeatSignal:
@@ -163,6 +126,7 @@ def synthesize_beat(scene: Scene, chirp: ChirpConfig = DEFAULT_CHIRP) -> BeatSig
 
     Identical (scene, chirp) inputs give bit-identical output arrays.
     """
+    global _last
     validate_scene(scene)
     # Bound the sample count before rounding it: an overflowing or huge
     # product must fail here, not in round() or the allocation.
@@ -184,21 +148,33 @@ def synthesize_beat(scene: Scene, chirp: ChirpConfig = DEFAULT_CHIRP) -> BeatSig
 
     n = chirp.n_samples
     t = np.arange(n) / chirp.sample_rate_hz
-    out = np.zeros(n)
-    phase_seed = scene.effective_phase_seed
-    for ref in scene.reflectors():
-        amp = _amplitude(scene, ref)
+    seed = scene.effective_phase_seed
+    refs = scene.reflectors()
+    # Walls come first and are sorted, and an amplitude reads only nearer
+    # walls, so under the same root a reflector prefix equal to the last
+    # scan's has the same terms; a prefix reaching a scatterer means equal
+    # walls. Adding the suffix terms one at a time in order then gives the
+    # loop's bits. The type is in the root because True and 1 are equal but
+    # hash to different phases.
+    root = (type(seed), seed, chirp)
+    last_root, last_refs, sums = _last
+    k = 0
+    if last_root == root:
+        for a, b in zip(last_refs, refs[: len(sums)]):
+            if not (a is b or a == b):
+                break
+            k += 1
+    sums = list(sums[:k])
+    out = sums[-1].copy() if sums else np.zeros(n)
+    for ref in refs[k:]:
         w = 2.0 * np.pi * beat_frequency(ref.range_m, chirp)
-        phi = _phase(phase_seed, ref.id)
-        # The key holds every value the term reads; t is fixed by n and
-        # the sample rate.
-        key = (amp, w, phi, n, chirp.sample_rate_hz)
-        term = _TERMS.get(key)
-        if term is None:
-            term = _TERMS.put(key, amp * np.cos(w * t + phi))
-        # Added one at a time in reflector order, the order the bits of
-        # the sum depend on.
-        out += term
+        out += _amplitude(scene, ref) * np.cos(w * t + reflector_phase(seed, ref.id))
+        if (len(sums) + 1) * out.nbytes <= _MEMO_BYTES:
+            sums.append(out.copy())
+            sums[-1].flags.writeable = False
+    # One read and one rebinding of _last per call, and stored sums are
+    # never written: a racing thread can lose an update, never see half of one.
+    _last = (root, refs, tuple(sums))
     if scene.noise_amplitude > 0:
         rng = np.random.default_rng(scene.rng_seed)
         out += scene.noise_amplitude * rng.standard_normal(n)

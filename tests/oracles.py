@@ -29,9 +29,9 @@ def naive_spectrum(beat: BeatSignal) -> RangeProfile:
 
 
 def loop_synthesize_beat(scene: Scene, chirp: ChirpConfig) -> np.ndarray:
-    """synthesize_beat's samples as the loop computed them before its terms
-    were cached: per reflector, the amplitude product in effective_amplitude's
-    order (written out here, so that it is checked too) and an uncached cosine.
+    """synthesize_beat's samples as a plain loop with no memo: per reflector,
+    the amplitude product in effective_amplitude's order (written out here,
+    so that it is checked too) and a freshly computed cosine.
     """
     n = chirp.n_samples
     t = np.arange(n) / chirp.sample_rate_hz

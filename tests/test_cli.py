@@ -173,6 +173,16 @@ class TestSimulate:
         assert captured.out == ""
         assert captured.err.startswith("error: chirp.sweep_time_s * chirp.sample_rate_hz = ")
 
+    @pytest.mark.parametrize("rng_seed, flags", [(-1, []), (0, ["--seed", "-5"])])
+    def test_negative_rng_seed_exits_1_naming_the_field(self, rng_seed, flags, tmp_path, capsys):
+        doc = {"scene": dict(HUMAN_ROOM["scene"], noise_amplitude=1e-3, rng_seed=rng_seed)}
+        scene = _write_doc(tmp_path, "scene.json", doc)
+        assert main(["simulate", "--scene", scene, *flags, "--out", str(tmp_path / "out")]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        seed = flags[-1] if flags else rng_seed
+        assert captured.err == f"error: scene.rng_seed must be >= 0, got {seed}\n"
+
     @pytest.mark.parametrize(
         "section, value",
         [
@@ -317,6 +327,13 @@ class TestScenario:
         out = tmp_path / "out"
         assert main(["scenario", "--scene", path, "--out", str(out)]) == 0
         assert (out / "profile_00_only.csv").exists()
+
+    def test_negative_seed_flag_exits_1_naming_the_field(self, tmp_path, capsys):
+        code = main(["scenario", "--name", "human_sweep", "--seed", "-5", "--out", str(tmp_path / "o")])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: scene.rng_seed must be >= 0, got -5\n"
 
     def test_unknown_builtin_exits_1(self, tmp_path, capsys):
         code = main(["scenario", "--name", "bogus", "--out", str(tmp_path / "o")])

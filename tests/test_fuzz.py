@@ -90,7 +90,7 @@ def _mutations(draw):
 
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(_mutations())
-@example(("simulate", "noisy_room.json", ("scene", "scatterers", 1, "extent_m", 0), None))
+@example(("simulate", "noisy_room.json", ("scene", "scatterers", 1, "range_m"), None))
 @example(("scenario", "walk.json", ("chirp", "sweep_time_s"), 1e300))
 @example(("simulate", "noisy_room.json", ("scene", "scatterers", 0, "range_m"), 1e-200))
 @example(("simulate", "noisy_room.json", ("scene", "walls", 0, "range_m"), 1e-200))

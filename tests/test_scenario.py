@@ -118,9 +118,13 @@ class TestStepIsolation:
             ScenarioStep("added", (AddScatterer(_person("b", 3.0)),)),
             ScenarioStep("moved", (MoveScatterer("a", 1.5),)),
             ScenarioStep("untouched"),
+            ScenarioStep("add+remove", (AddScatterer(_person("b", 3.0)), RemoveScatterer("b"))),
+            ScenarioStep(
+                "add+remove-another", (AddScatterer(_person("b", 3.0)), RemoveScatterer("a"))
+            ),
         ]
         result = run_scenario(_scenario(steps, base=base))
-        assert [s.true_range_m for s in result.steps] == [3.0, 1.5, None]
+        assert [s.true_range_m for s in result.steps] == [3.0, 1.5, None, None, 3.0]
 
 
 class TestPipelineValidation:

@@ -133,6 +133,10 @@ class TestValidateScene:
         ):
             validate_scene(Scene(noise_amplitude=value))
 
+    def test_negative_rng_seed_is_flagged(self):
+        with pytest.raises(ValueError, match=r"^scene\.rng_seed must be >= 0, got -1$"):
+            validate_scene(Scene(noise_amplitude=1e-3, rng_seed=-1))
+
     def test_nan_reflectivity_is_flagged(self):
         scene = Scene(scatterers=(_scatterer("s", 1.0, reflectivity=NAN),))
         with pytest.raises(

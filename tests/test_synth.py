@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from wallsense import (
     DEFAULT_CHIRP,
+    HUMAN_BODY,
     SPEED_OF_LIGHT_M_S,
     ChirpConfig,
     Material,
@@ -141,6 +142,10 @@ class TestSynthesizeBeat:
         with pytest.raises(ValueError, match="out of bounds"):
             synthesize_beat(scene, DEFAULT_CHIRP)
 
+    def test_negative_rng_seed_raises_naming_the_field(self):
+        with pytest.raises(ValueError, match=r"^scene\.rng_seed must be >= 0, got -1$"):
+            synthesize_beat(_scene(2.0, noise=1e-3, seed=-1), DEFAULT_CHIRP)
+
     def test_too_few_samples_raises(self):
         with pytest.raises(ValueError, match="^chirp yields 8 samples; need at least 16$"):
             synthesize_beat(Scene(max_range_m=0.5), ChirpConfig(24e9, 2e9, 8e-6, 1e6))
@@ -198,50 +203,105 @@ def _matches_oracle(scene, chirp):
     return synthesize_beat(scene, chirp).samples.tobytes() == loop_synthesize_beat(scene, chirp).tobytes()
 
 
-class TestTermCache:
-    @settings(max_examples=150, deadline=None, derandomize=True)
-    @given(_scenes())
-    def test_cold_and_cached_synthesis_match_the_loop_bit_for_bit(self, scene):
-        with mock.patch.object(synth, "_TERMS", synth._TermCache(synth._TERM_CACHE_BYTES)):
-            for chirp in (DEFAULT_CHIRP, OTHER_RATE_CHIRP, OTHER_LENGTH_CHIRP) * 2:
+CHIRPS = (DEFAULT_CHIRP, OTHER_RATE_CHIRP, OTHER_LENGTH_CHIRP)
+EMPTY_MEMO = (None, (), ())
+
+
+def _mutated(scene, step, op, i, range_m, coefficient):
+    scatterers, walls = list(scene.scatterers), list(scene.walls)
+    if op == "add":
+        new = Scatterer(f"a{step}", range_m, Material("m", coefficient, 0.0))
+        scatterers.insert(i % (len(scatterers) + 1), new)
+    elif op == "move" and scatterers:
+        old = scatterers[i % len(scatterers)]
+        scatterers[i % len(scatterers)] = dataclasses.replace(old, range_m=range_m)
+    elif op == "remove" and scatterers:
+        del scatterers[i % len(scatterers)]
+    elif op == "wall":
+        # Toggle a wall at range_m, keeping the walls sorted and distinct.
+        kept = [w for w in walls if w.range_m != range_m]
+        if len(kept) == len(walls):
+            kept.append(Wall(f"v{step}", range_m, Material("m", coefficient, coefficient)))
+        walls = sorted(kept, key=lambda w: w.range_m)
+    return dataclasses.replace(scene, scatterers=tuple(scatterers), walls=tuple(walls))
+
+
+def _assert_memo_holds_prefix_sums():
+    # Every stored sum is the loop's sum over its reflector prefix.
+    (_, seed, chirp), refs, sums = synth._last
+    assert 0 < sum(s.nbytes for s in sums) <= synth._MEMO_BYTES
+    for i, stored in enumerate(sums):
+        assert not stored.flags.writeable
+        prefix = refs[: i + 1]
+        scene = Scene(
+            walls=tuple(r for r in prefix if isinstance(r, Wall)),
+            scatterers=tuple(r for r in prefix if isinstance(r, Scatterer)),
+            phase_seed=seed,
+        )
+        assert stored.tobytes() == loop_synthesize_beat(scene, chirp).tobytes()
+
+
+STEPS = st.tuples(
+    st.sampled_from(("add", "move", "remove", "wall", "same")),
+    st.integers(0, 7),
+    st.sampled_from(RANGES),
+    COEFFICIENTS,
+    st.sampled_from(CHIRPS),
+    st.sampled_from((None, 5)),
+    st.sampled_from((0.0, 1e-3)),
+)
+
+
+class TestPrefixMemo:
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(_scenes(), st.lists(STEPS, min_size=1, max_size=12))
+    def test_mutated_scan_sequences_match_the_loop_bit_for_bit(self, scene, steps):
+        with mock.patch.object(synth, "_last", EMPTY_MEMO):
+            for step, (op, i, range_m, coefficient, chirp, phase_seed, noise) in enumerate(steps):
+                scene = dataclasses.replace(
+                    _mutated(scene, step, op, i, range_m, coefficient),
+                    phase_seed=phase_seed,
+                    noise_amplitude=noise,
+                    rng_seed=step,
+                )
                 assert _matches_oracle(scene, chirp)
+                if scene.reflectors():
+                    _assert_memo_holds_prefix_sums()
 
-    def test_cache_stays_within_its_byte_cap(self):
-        class Watched(synth._TermCache):
-            peak = 0
-
-            def put(self, key, term):
-                term = super().put(key, term)
-                self.peak = max(self.peak, self.nbytes)
-                return term
-
-        cache = Watched(synth._TERM_CACHE_BYTES)
-        # 200 terms of 1000 float64 samples need 1.6 MB; the cap holds 131.
+    def test_memo_stays_within_its_byte_cap(self):
+        # 200 sums of 1000 float64 samples need 1.6 MB; the cap holds 131.
         scene = Scene(
             scatterers=tuple(
                 Scatterer(f"s{i}", 0.5 + 0.035 * i, Material("m", 0.5, 0.0)) for i in range(200)
             )
         )
-        with mock.patch.object(synth, "_TERMS", cache):
-            for _ in range(2):
-                assert _matches_oracle(scene, DEFAULT_CHIRP)
-                assert 0 < cache.peak <= synth._TERM_CACHE_BYTES
-                assert cache.nbytes == sum(t.nbytes for t in cache.terms.values())
-                assert len(cache.terms) == synth._TERM_CACHE_BYTES // (8 * DEFAULT_CHIRP.n_samples)
-                assert not any(t.flags.writeable for t in cache.terms.values())
+        moved = dataclasses.replace(
+            scene, scatterers=scene.scatterers[:150] + (Scatterer("p", 7.9, HUMAN_BODY),)
+        )
+        with mock.patch.object(synth, "_last", EMPTY_MEMO):
+            for s in (scene, scene, moved, scene):
+                assert _matches_oracle(s, DEFAULT_CHIRP)
+                assert len(synth._last[2]) == synth._MEMO_BYTES // (8 * DEFAULT_CHIRP.n_samples)
+                _assert_memo_holds_prefix_sums()
 
-    def test_threads_sharing_the_cache_keep_its_byte_count(self):
-        # More threads than cores, switching often, over a cache that holds
-        # 40 of the 60 distinct terms, so lookups and evictions interleave.
-        cache = synth._TermCache(40 * 8 * DEFAULT_CHIRP.n_samples)
+    def test_equal_seeds_of_different_types_keep_their_own_phases(self):
+        # True == 1, but reflector_phase formats them as "True" and "1".
+        with mock.patch.object(synth, "_last", EMPTY_MEMO):
+            for phase_seed in (1, True, 1):
+                scene = dataclasses.replace(_scene(2.0, 3.0), phase_seed=phase_seed)
+                assert _matches_oracle(scene, DEFAULT_CHIRP)
+
+    def test_threads_sharing_the_memo_get_the_loop_bits(self):
+        # More threads than cores, switching often, over scans that share
+        # prefixes of different lengths, so memo reads and rebindings interleave.
+        base = tuple(Scatterer(f"s{i}", 0.5 + 0.2 * i, Material("m", 0.5, 0.0)) for i in range(20))
         scenes = [
             Scene(
-                scatterers=tuple(
-                    Scatterer(f"s{i}", 0.5 + 0.2 * i, Material("m", 0.5, 0.0)) for i in range(20)
-                ),
+                scatterers=base[:cut] + (Scatterer("p", 5.0 + 0.1 * cut, HUMAN_BODY),),
                 phase_seed=seed,
             )
-            for seed in range(3)
+            for cut in (20, 12, 5)
+            for seed in (0, 1)
         ]
         expected = [loop_synthesize_beat(scene, DEFAULT_CHIRP).tobytes() for scene in scenes]
         mismatches = []
@@ -255,14 +315,14 @@ class TestTermCache:
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            with mock.patch.object(synth, "_TERMS", cache):
+            with mock.patch.object(synth, "_last", EMPTY_MEMO):
                 threads = [threading.Thread(target=work, args=(n,)) for n in range(6)]
                 for th in threads:
                     th.start()
                 for th in threads:
                     th.join(timeout=60)
+                assert not any(th.is_alive() for th in threads)
+                assert mismatches == []
+                _assert_memo_holds_prefix_sums()
         finally:
             sys.setswitchinterval(interval)
-        assert not any(th.is_alive() for th in threads)
-        assert mismatches == []
-        assert cache.nbytes == sum(t.nbytes for t in cache.terms.values()) <= cache.max_bytes
