@@ -21,7 +21,6 @@ from .scene import (
     Scene,
     TargetKind,
     Wall,
-    effective_amplitude,
     validate_scene,
 )
 from .synth import (
@@ -52,7 +51,6 @@ from .classify import (
     calibrate_bands,
     capture_baseline,
     classify,
-    compensate_spreading,
     rrm,
     rrm_compensated,
 )

@@ -120,22 +120,20 @@ def rrm(target_peak: Peak, baseline: Baseline) -> float:
     return target_peak.rsa / ref
 
 
-def compensate_spreading(peak: Peak) -> Peak:
-    """Undo inverse-square spreading so peaks at different ranges compare.
-
-    Returns a copy with rsa (and prominence) scaled by (range/r0)^2, r0
-    being REFERENCE_RANGE_M; the result approximates the bare reflectivity
-    ratio the classifier bands were drawn for. Raw profiles keep their
-    spreading; only classification looks at compensated values.
-    """
-    gain = (peak.range_m / REFERENCE_RANGE_M) ** 2
-    return Peak(peak.range_m, peak.rsa * gain, peak.prominence * gain, peak.bin_index)
-
-
 def rrm_compensated(target_peak: Peak, baseline: Baseline) -> float:
-    """rrm of spreading-compensated target vs spreading-compensated reference."""
+    """rrm with inverse-square spreading undone on both peaks.
+
+    Each rsa is scaled by (range/r0)^2, r0 being REFERENCE_RANGE_M, so
+    peaks at different ranges compare; the result approximates the bare
+    reflectivity ratio the classifier bands were drawn for. Raw profiles
+    keep their spreading; only classification looks at compensated values.
+    """
     ref_gain = (baseline.reference_feature.range_m / REFERENCE_RANGE_M) ** 2
-    return rrm(compensate_spreading(target_peak), baseline) / ref_gain
+    gain = (target_peak.range_m / REFERENCE_RANGE_M) ** 2
+    compensated = Peak(
+        target_peak.range_m, target_peak.rsa * gain, target_peak.prominence, target_peak.bin_index
+    )
+    return rrm(compensated, baseline) / ref_gain
 
 
 def classify(value: float, bands: ClassBands = DEFAULT_BANDS) -> TargetClass:
@@ -163,6 +161,8 @@ def calibrate_bands(labeled: Iterable[tuple[float, TargetClass]]) -> ClassBands:
     for value, cls in labeled:
         if value <= 0:
             raise ValueError(f"rrm samples must be > 0, got {value}")
+        if not math.isfinite(value):
+            raise ValueError(f"rrm samples must be finite, got {value}")
         groups.setdefault(TargetClass(cls), []).append(value)
 
     present = sorted(groups)

@@ -21,6 +21,7 @@ from .scenario import (
     ScenarioStep,
     _empty_room_baseline,
     _run_scans,
+    _write,
     builtin_scenario,
     classification_to_csv,
     monitor_to_csv,
@@ -57,14 +58,6 @@ def _load_config(path: str, seed: int | None) -> SceneConfig:
     return cfg
 
 
-def _write(out_dir: str, name: str, text: str) -> Path:
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    path = out / name
-    path.write_text(text)
-    return path
-
-
 def _cmd_simulate(args: argparse.Namespace) -> int:
     cfg = _load_config(args.scene, args.seed)
     window = Window(args.window)
@@ -99,9 +92,8 @@ def _cmd_monitor(args: argparse.Namespace) -> int:
         zone = replace(zone, near_m=near, far_m=far) if zone else MonitorZone(near, far)
     if zone is None:
         raise ValueError("no monitor zone: pass --zone near,far or a monitor.zone section")
-    base_cfg = replace(
-        base_cfg, zone=zone, baseline_hint_m=base_cfg.baseline_hint_m or zone.far_m
-    )
+    hint_m = zone.far_m if base_cfg.baseline_hint_m is None else base_cfg.baseline_hint_m
+    base_cfg = replace(base_cfg, zone=zone, baseline_hint_m=hint_m)
     baseline = _empty_room_baseline(base_cfg.scene, base_cfg.chirp, base_cfg.baseline_hint_m)
 
     def scan(path: str):

@@ -345,17 +345,13 @@ def _copper_traverse() -> Scenario:
     )
 
 
-BUILTIN_SCENARIOS = ("human_sweep", "copper_traverse")
+BUILTIN_SCENARIOS = {"human_sweep": _human_sweep, "copper_traverse": _copper_traverse}
 
 
 def builtin_scenario(name: str) -> Scenario:
-    if name == "human_sweep":
-        return _human_sweep()
-    if name == "copper_traverse":
-        return _copper_traverse()
-    raise ValueError(
-        f"unknown scenario '{name}'; built-ins: {', '.join(BUILTIN_SCENARIOS)}"
-    )
+    if name not in BUILTIN_SCENARIOS:
+        raise ValueError(f"unknown scenario '{name}'; built-ins: {', '.join(BUILTIN_SCENARIOS)}")
+    return BUILTIN_SCENARIOS[name]()
 
 
 # ---------------------------------------------------------------------------
@@ -424,25 +420,28 @@ def _safe_name(name: str) -> str:
     return re.sub(r"[^A-Za-z0-9_-]", "_", name)
 
 
-def write_run_result(result: RunResult, out_dir: str | Path) -> list[Path]:
-    """Write every applicable artifact; returns the paths written."""
+def _write(out_dir: str | Path, name: str, text: str) -> Path:
+    """Write text to out_dir/name, making out_dir if needed; returns the path."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    written: list[Path] = []
+    path = out / name
+    path.write_text(text)
+    return path
 
-    def _emit(name: str, text: str) -> None:
-        path = out / name
-        path.write_text(text)
-        written.append(path)
 
-    for step in result.steps:
-        _emit(f"profile_{step.index:02d}_{_safe_name(step.name)}.csv", profile_to_csv(step.profile))
+def write_run_result(result: RunResult, out_dir: str | Path) -> list[Path]:
+    """Write every applicable artifact; returns the paths written."""
+    written = [
+        _write(out_dir, f"profile_{step.index:02d}_{_safe_name(step.name)}.csv",
+               profile_to_csv(step.profile))
+        for step in result.steps
+    ]
     pipeline = result.scenario.pipeline
     if "rrm" in pipeline:
-        _emit("summary.csv", summary_to_csv(result))
-        _emit("classification.csv", classification_to_csv(result))
+        written.append(_write(out_dir, "summary.csv", summary_to_csv(result)))
+        written.append(_write(out_dir, "classification.csv", classification_to_csv(result)))
     if "throughwall" in pipeline:
-        _emit("monitor.csv", monitor_to_csv(result))
+        written.append(_write(out_dir, "monitor.csv", monitor_to_csv(result)))
     if "safety" in pipeline:
-        _emit("safety.log", safety_log(result))
+        written.append(_write(out_dir, "safety.log", safety_log(result)))
     return written

@@ -142,15 +142,11 @@ def validate_scene(scene: Scene) -> None:
     if not scene.rng_seed >= 0:
         v.append(f"scene.rng_seed must be >= 0, got {scene.rng_seed}")
 
-    for s in scene.scatterers:
-        owner = f"scatterer '{s.id}'"
-        _check_range(owner, s.range_m, scene.max_range_m, v)
-        _check_material(owner, s.material, v)
-
-    for w in scene.walls:
-        owner = f"wall '{w.id}'"
-        _check_range(owner, w.range_m, scene.max_range_m, v)
-        _check_material(owner, w.material, v)
+    for kind, reflectors in (("scatterer", scene.scatterers), ("wall", scene.walls)):
+        for r in reflectors:
+            owner = f"{kind} '{r.id}'"
+            _check_range(owner, r.range_m, scene.max_range_m, v)
+            _check_material(owner, r.material, v)
 
     ranges = [w.range_m for w in scene.walls]
     if ranges != sorted(ranges):
@@ -170,22 +166,14 @@ def validate_scene(scene: Scene) -> None:
         raise ValueError("; ".join(v))
 
 
-def effective_amplitude(scene: Scene, target: Scatterer | Wall) -> float:
-    """Return amplitude of the target as seen by the radar.
+def _amplitude(scene: Scene, ref: Scatterer | Wall) -> float:
+    """Return the amplitude of reflector ref of scene as seen by the radar.
 
     reflectivity, attenuated by the squared transmissivity of every wall
-    strictly nearer than the target (two-way transit), scaled by
-    inverse-square spreading relative to REFERENCE_RANGE_M.
+    strictly nearer than ref (two-way transit), scaled by inverse-square
+    spreading relative to REFERENCE_RANGE_M. The product is taken in this
+    order, wall by wall, so that results are bit-stable.
     """
-    if target not in scene.reflectors():
-        raise ValueError(f"target '{getattr(target, 'id', target)}' not in scene")
-    return _amplitude(scene, target)
-
-
-def _amplitude(scene: Scene, ref: Scatterer | Wall) -> float:
-    # effective_amplitude without its O(R) membership check, for callers
-    # that iterate over scene.reflectors() themselves. The product is
-    # taken in this order, wall by wall, so that results are bit-stable.
     amp = ref.material.reflectivity
     for wall in scene.walls:
         if wall.range_m < ref.range_m:

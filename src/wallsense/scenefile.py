@@ -55,6 +55,12 @@ def _expect_mapping(node, path: str) -> dict:
     return node
 
 
+def _load(path: str | Path) -> dict:
+    """The JSON object in the file at path."""
+    with open(path) as fh:
+        return _expect_mapping(json.load(fh), str(path))
+
+
 def _expect_list(node, path: str) -> list:
     if not isinstance(node, list):
         raise ValueError(f"{path}: expected an array")
@@ -213,9 +219,7 @@ def parse_scene_config(doc: dict) -> SceneConfig:
 
 
 def load_scene_config(path: str | Path) -> SceneConfig:
-    with open(path) as fh:
-        doc = json.load(fh)
-    return parse_scene_config(_expect_mapping(doc, str(path)))
+    return parse_scene_config(_load(path))
 
 
 def scenario_from_config(
@@ -274,9 +278,7 @@ def parse_scenario(doc: dict) -> Scenario:
 
 
 def load_scenario_file(path: str | Path) -> Scenario:
-    with open(path) as fh:
-        doc = json.load(fh)
-    return parse_scenario(_expect_mapping(doc, str(path)))
+    return parse_scenario(_load(path))
 
 
 # ---------------------------------------------------------------------------
@@ -300,9 +302,7 @@ def bands_to_json(bands: ClassBands) -> str:
 
 
 def load_bands(path: str | Path) -> ClassBands:
-    with open(path) as fh:
-        doc = json.load(fh)
-    return bands_from_mapping(_expect_mapping(doc, str(path)), str(path))
+    return bands_from_mapping(_load(path), str(path))
 
 
 def parse_labeled_rrm_csv(text: str) -> list[tuple[float, TargetClass]]:
@@ -319,6 +319,8 @@ def parse_labeled_rrm_csv(text: str) -> list[tuple[float, TargetClass]]:
             value = float(parts[0])
         except ValueError:
             raise ValueError(f"line {i}: rrm is not a number: {parts[0]!r}") from None
+        if not math.isfinite(value):
+            raise ValueError(f"line {i}: rrm must be a finite number, got {parts[0]!r}")
         try:
             cls = TargetClass[parts[1].upper()]
         except KeyError:

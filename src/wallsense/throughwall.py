@@ -37,6 +37,9 @@ class MonitorZone:
     guard_bins: int = 2
 
     def __post_init__(self) -> None:
+        for name, value in (("near_m", self.near_m), ("far_m", self.far_m)):
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if not 0 < self.near_m < self.far_m:
             raise ValueError(
                 f"zone must satisfy 0 < near_m < far_m, got ({self.near_m}, {self.far_m})"

@@ -30,7 +30,7 @@ def naive_spectrum(beat: BeatSignal) -> RangeProfile:
 
 def loop_synthesize_beat(scene: Scene, chirp: ChirpConfig) -> np.ndarray:
     """synthesize_beat's samples as a plain loop with no memo: per reflector,
-    the amplitude product in effective_amplitude's order (written out here,
+    the amplitude product in _amplitude's order (written out here,
     so that it is checked too) and a freshly computed cosine.
     """
     n = chirp.n_samples

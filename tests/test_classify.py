@@ -11,6 +11,7 @@ from wallsense import (
     Baseline,
     ClassBands,
     Peak,
+    REFERENCE_RANGE_M,
     RangeProfile,
     Scatterer,
     SHEET_METAL,
@@ -20,7 +21,6 @@ from wallsense import (
     calibrate_bands,
     capture_baseline,
     classify,
-    compensate_spreading,
     range_profile,
     rrm,
     rrm_compensated,
@@ -131,15 +131,15 @@ class TestRrm:
 
 class TestSpreadingCompensation:
     def test_scales_by_range_squared(self):
+        # target 0.02 * 3^2 over reference 0.01 * 2^2
         peak = Peak(3.0, 0.02, 0.01, 40)
-        comp = compensate_spreading(peak)
-        assert comp.rsa == pytest.approx(0.18, rel=1e-12)
-        assert comp.prominence == pytest.approx(0.09, rel=1e-12)
-        assert (comp.range_m, comp.bin_index) == (3.0, 40)
+        ratio = rrm_compensated(peak, _dummy_baseline(2.0, 0.01))
+        assert ratio == pytest.approx(0.18 / 0.04, rel=1e-12)
 
     def test_identity_at_reference_range(self):
-        peak = Peak(1.0, 0.07, 0.03, 13)
-        assert compensate_spreading(peak) == peak
+        peak = Peak(REFERENCE_RANGE_M, 0.07, 0.03, 13)
+        base = _dummy_baseline(REFERENCE_RANGE_M, 0.05)
+        assert rrm_compensated(peak, base) == rrm(peak, base)
 
     def test_compensated_rrm_recovers_reflectivity_ratio(self):
         # target rsa*R^2 over reference rsa*R^2 cancels the geometry; with
@@ -247,6 +247,16 @@ class TestCalibrateBands:
     def test_rejects_nonpositive_samples(self):
         with pytest.raises(ValueError, match="must be > 0"):
             calibrate_bands([(0.0, I), (2.0, H)])
+
+    @pytest.mark.parametrize("value", [math.inf, math.nan])
+    @pytest.mark.parametrize("first", [True, False])
+    def test_rejects_non_finite_samples(self, value, first):
+        # Accepted, inf as the only Metallic sample made Metallic unreachable,
+        # and a NaN was dropped or broke the bands depending on its row.
+        rows = [(1.0, I), (2.0, H), (10.0, M)]
+        rows.insert(0 if first else len(rows), (value, M if value == math.inf else H))
+        with pytest.raises(ValueError, match=f"^rrm samples must be finite, got {value}$"):
+            calibrate_bands(rows)
 
     def test_calibrated_bands_classify_their_own_samples(self):
         rows = [(1.0, I), (1.4, H), (1.9, H), (9.0, M), (15.0, M)]

@@ -290,6 +290,28 @@ class TestMonitor:
         assert code == 1
         assert "--zone expects" in capsys.readouterr().err
 
+    def test_infinite_zone_flag_exits_1_naming_the_field(self, tmp_path, capsys):
+        base = _write_doc(tmp_path, "base.json", PARTITION)
+        scan = _write_doc(tmp_path, "scan.json", SHEET_BEHIND_PARTITION)
+        code = main(["monitor", "--baseline", base, "--scene", scan, "--zone", "0.1,inf",
+                     "--out", str(tmp_path / "o")])
+        assert code == 1
+        assert capsys.readouterr().err == "error: far_m must be finite, got inf\n"
+        assert not (tmp_path / "o").exists()
+
+    def test_zero_baseline_hint_is_kept_as_in_classify(self, tmp_path, capsys):
+        # A hint of 0 used to be replaced by the zone's far edge.
+        doc = dict(EMPTY_ROOM, baseline={"feature_range_hint": 0},
+                   monitor={"zone": {"near_m": 0.5, "far_m": 5.5}})
+        base = _write_doc(tmp_path, "base.json", doc)
+        errors = []
+        for command in ("classify", "monitor"):
+            code = main([command, "--baseline", base, "--scene", base,
+                         "--out", str(tmp_path / command)])
+            assert code == 1
+            errors.append(capsys.readouterr().err)
+        assert errors == ["error: reference feature not found within 3 bins of 0.0 m\n"] * 2
+
     def test_stage_failure_names_step_and_stage(self, tmp_path, capsys):
         base = _write_doc(tmp_path, "base.json", dict(PARTITION, baseline={"feature_range_hint": 2.6}))
         empty = _write_doc(tmp_path, "scan0.json", {"scene": PARTITION["scene"]})
@@ -380,6 +402,14 @@ class TestCalibrate:
         path.write_text("rrm,label\n1.3,Human\n1.6,Human\n")
         assert main(["calibrate", "--input", str(path), "--out", str(tmp_path / "o")]) == 1
         assert "2 classes" in capsys.readouterr().err
+
+    def test_infinite_rrm_exits_1_naming_the_line(self, tmp_path, capsys):
+        # Accepted, it wrote human_max: null, so Metallic was unreachable.
+        path = tmp_path / "labeled.csv"
+        path.write_text("rrm,label\n1.0,Infrastructure\n2.0,Human\ninf,Metallic\n")
+        assert main(["calibrate", "--input", str(path), "--out", str(tmp_path / "o")]) == 1
+        assert capsys.readouterr().err == "error: line 4: rrm must be a finite number, got 'inf'\n"
+        assert not (tmp_path / "o").exists()
 
     def test_missing_input_exits_2(self, tmp_path):
         code = main(["calibrate", "--input", str(tmp_path / "nope.csv"),

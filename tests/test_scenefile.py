@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import pytest
 
@@ -315,3 +316,17 @@ class TestLabeledRrmCsv:
     def test_wrong_column_count(self):
         with pytest.raises(ValueError, match="line 2"):
             parse_labeled_rrm_csv("rrm,label\n1.0\n")
+
+    @pytest.mark.parametrize("text", ["inf", "-inf", "nan", "1e999"])
+    def test_non_finite_number(self, text):
+        message = f"^line 3: rrm must be a finite number, got '{text}'$"
+        with pytest.raises(ValueError, match=message):
+            parse_labeled_rrm_csv(f"rrm,label\n1.0,Infrastructure\n{text},Metallic\n")
+
+
+@pytest.mark.parametrize("load", [load_scene_config, load_scenario_file, load_bands])
+def test_top_level_array_is_rejected(load, tmp_path):
+    path = tmp_path / "doc.json"
+    path.write_text("[]")
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: expected an object$"):
+        load(path)

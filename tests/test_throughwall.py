@@ -63,6 +63,14 @@ class TestMonitorZone:
         with pytest.raises(ValueError, match=message):
             MonitorZone(0.1, 2.6, excess_threshold=value)
 
+    @pytest.mark.parametrize("field", ["near_m", "far_m"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_zone_edges_must_be_finite(self, field, value):
+        # Accepted, far_m = inf watched the whole profile past near_m.
+        edges = {"near_m": 0.1, "far_m": 2.6, field: value}
+        with pytest.raises(ValueError, match=f"^{field} must be finite, got {value}$"):
+            MonitorZone(**edges)
+
     def test_nan_guard_bins_is_rejected(self):
         with pytest.raises(ValueError, match=r"^guard_bins must be >= 0, got nan$"):
             MonitorZone(0.1, 2.6, guard_bins=math.nan)
