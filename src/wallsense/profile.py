@@ -54,8 +54,8 @@ class Peak:
     """A local maximum of a profile (or of an excess series).
 
     prominence is the height above the higher of the two flanking minima,
-    where a flanking minimum is the lowest value reached walking away from
-    the peak before the series rises again (or the series edge).
+    where a flanking minimum is the lowest value between the peak and the
+    next maximum (or the edge) on each side.
     """
 
     range_m: float
@@ -102,39 +102,18 @@ def range_profile(beat: BeatSignal, window: Window = Window.HANN) -> RangeProfil
     return RangeProfile(spectrum, beat.chirp)
 
 
-def _plateau_maxima(values: np.ndarray) -> list[int]:
+def _plateau_maxima(values: np.ndarray) -> np.ndarray:
     """Indices of local maxima; plateaus resolve to their lowest index.
 
-    A run of equal values counts as one maximum only when both neighbours
-    of the run are strictly lower, so edges never qualify.
+    A run of equal values counts as one maximum only when both neighbouring
+    runs are strictly lower, so edges never qualify.
     """
-    out: list[int] = []
-    n = len(values)
-    i = 1
-    while i < n - 1:
-        if values[i] > values[i - 1]:
-            j = i
-            while j + 1 < n and values[j + 1] == values[i]:
-                j += 1
-            if j + 1 < n and values[j + 1] < values[i]:
-                out.append(i)
-            i = j + 1
-        else:
-            i += 1
-    return out
-
-
-def _flanking_prominence(values: np.ndarray, idx: int) -> float:
-    j = idx
-    while j > 0 and values[j - 1] <= values[j]:
-        j -= 1
-    left_min = values[j]
-    j = idx
-    n = len(values)
-    while j < n - 1 and values[j + 1] <= values[j]:
-        j += 1
-    right_min = values[j]
-    return float(values[idx] - max(left_min, right_min))
+    if len(values) < 3:
+        return np.empty(0, dtype=np.intp)
+    starts = np.concatenate(([0], np.flatnonzero(values[1:] != values[:-1]) + 1))
+    runs = values[starts]
+    inner = runs[1:-1]
+    return starts[1:-1][(inner > runs[:-2]) & (inner > runs[2:])]
 
 
 def find_peaks_in_series(
@@ -150,13 +129,18 @@ def find_peaks_in_series(
     bin_offset shifts reported bin indices when `values` is a slice of a
     larger profile.
     """
-    peaks = []
-    for idx in _plateau_maxima(np.asarray(values)):
-        height = float(values[idx])
-        prom = _flanking_prominence(values, idx)
-        if height >= min_rsa and prom >= min_prominence:
-            peaks.append(Peak(float(ranges_m[idx]), height, prom, idx + bin_offset))
-    return peaks
+    values = np.asarray(values)
+    maxima = _plateau_maxima(values)
+    if not maxima.size:
+        return []
+    # Between adjacent maxima the series only falls, then rises, so the
+    # flanking minimum on each side is the lowest value of that stretch.
+    flanks = np.minimum.reduceat(values, np.concatenate(([0], maxima)))
+    heights = values[maxima]
+    proms = heights - np.maximum(flanks[:-1], flanks[1:])
+    rows = zip(ranges_m[maxima].tolist(), heights.tolist(), proms.tolist(), maxima.tolist())
+    return [Peak(r, h, p, i + bin_offset) for r, h, p, i in rows
+            if h >= min_rsa and p >= min_prominence]
 
 
 def detect_peaks(

@@ -158,13 +158,17 @@ def _reflector(cls, node, path: str, default_material: str):
     return _record(cls, m, path, material=material)
 
 
-def _chirp(doc: dict) -> ChirpConfig:
-    node = _section(doc, "chirp")
-    return DEFAULT_CHIRP if node is None else _record(ChirpConfig, node, "chirp")
+def _threshold(node: dict, key: str, path: str, default: float | None = None) -> float:
+    value = _number(node, key, path, default)
+    if value < 0:
+        raise ValueError(f"{path}.{key}: expected a number >= 0, got {node[key]!r}")
+    return value
 
 
-def _scene(doc: dict) -> Scene:
-    node = _expect_mapping(doc.get("scene", {}), "scene")
+def parse_scene_config(doc: dict) -> SceneConfig:
+    # The read order below fixes which error a bad document reports.
+    detector = _section(doc, "detector") or {}
+    node = _section(doc, "scene") or {}
     scatterers = tuple(
         _reflector(Scatterer, s, f"scene.scatterers[{i}]", "human")
         for i, s in enumerate(_expect_list(node.get("scatterers", []), "scene.scatterers"))
@@ -173,48 +177,27 @@ def _scene(doc: dict) -> Scene:
         _reflector(Wall, w, f"scene.walls[{i}]", "plasterboard")
         for i, w in enumerate(_expect_list(node.get("walls", []), "scene.walls"))
     )
-    return _record(Scene, node, "scene", scatterers=scatterers, walls=walls)
-
-
-def _bands(doc: dict) -> ClassBands | None:
+    scene = _record(Scene, node, "scene", scatterers=scatterers, walls=walls)
+    node = _section(doc, "chirp")
+    chirp = DEFAULT_CHIRP if node is None else _record(ChirpConfig, node, "chirp")
+    node = _section(doc, "baseline") or {}
+    hint = None
+    if "feature_range_hint" in node:
+        hint = _threshold(node, "feature_range_hint", "baseline")
     node = _section(doc, "classifier", "bands")
-    return None if node is None else bands_from_mapping(node, "classifier.bands")
-
-
-def _zone(doc: dict) -> MonitorZone | None:
-    z = _section(doc, "monitor", "zone")
-    return None if z is None else _record(MonitorZone, z, "monitor.zone")
-
-
-def _tiers(doc: dict) -> TierConfig:
-    return _record(TierConfig, _section(doc, "safety", "tiers") or {}, "safety.tiers")
-
-
-def _baseline_hint(doc: dict) -> float | None:
-    node = _section(doc, "baseline")
-    if node is None or "feature_range_hint" not in node:
-        return None
-    return _number(node, "feature_range_hint", "baseline")
-
-
-def _threshold(detector: dict, key: str, default: float) -> float:
-    value = _number(detector, key, "detector", default)
-    if value < 0:
-        raise ValueError(f"detector.{key}: expected a number >= 0, got {detector[key]!r}")
-    return value
-
-
-def parse_scene_config(doc: dict) -> SceneConfig:
-    node = _expect_mapping(doc.get("detector", {}), "detector")
+    bands = None if node is None else bands_from_mapping(node, "classifier.bands")
+    node = _section(doc, "monitor", "zone")
     return SceneConfig(
-        scene=_scene(doc),
-        chirp=_chirp(doc),
-        baseline_hint_m=_baseline_hint(doc),
-        bands=_bands(doc),
-        zone=_zone(doc),
-        tier_config=_tiers(doc),
-        detect_min_rsa=_threshold(node, "min_rsa", Scenario.detect_min_rsa),
-        detect_min_prominence=_threshold(node, "min_prominence", Scenario.detect_min_prominence),
+        scene=scene,
+        chirp=chirp,
+        baseline_hint_m=hint,
+        bands=bands,
+        zone=None if node is None else _record(MonitorZone, node, "monitor.zone"),
+        tier_config=_record(TierConfig, _section(doc, "safety", "tiers") or {}, "safety.tiers"),
+        detect_min_rsa=_threshold(detector, "min_rsa", "detector", Scenario.detect_min_rsa),
+        detect_min_prominence=_threshold(
+            detector, "min_prominence", "detector", Scenario.detect_min_prominence
+        ),
     )
 
 

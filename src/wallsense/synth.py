@@ -138,7 +138,8 @@ def synthesize_beat(scene: Scene, chirp: ChirpConfig = DEFAULT_CHIRP) -> BeatSig
         )
     if chirp.n_samples < MIN_SAMPLES:
         raise ValueError(
-            f"chirp yields {chirp.n_samples} samples; need at least {MIN_SAMPLES}"
+            f"chirp.sweep_time_s * chirp.sample_rate_hz = {product:.6g} samples; "
+            f"need at least {MIN_SAMPLES}"
         )
     if scene.max_range_m > chirp.max_unambiguous_range_m:
         raise ValueError(

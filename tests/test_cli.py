@@ -101,6 +101,20 @@ class TestParserBasics:
         assert captured.out == ""
         assert captured.err == f"error: detector.{key}: expected a number >= 0, got -1\n"
 
+    @pytest.mark.parametrize("command", ["simulate", "classify", "monitor"])
+    def test_negative_baseline_hint_exits_1_naming_the_field(self, command, tmp_path, capsys):
+        doc = dict(EMPTY_ROOM, baseline={"feature_range_hint": -1},
+                   monitor={"zone": {"near_m": 0.5, "far_m": 5.5}})
+        path = _write_doc(tmp_path, "room.json", doc)
+        extra = [] if command == "simulate" else ["--baseline", path]
+        assert main([command, "--scene", path, *extra, "--out", str(tmp_path / "out")]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: baseline.feature_range_hint: expected a number >= 0, got -1\n"
+        )
+        assert not (tmp_path / "out").exists()
+
     def test_installed_entry_point(self):
         assert shutil.which("wallsense"), "console script not on PATH"
         proc = subprocess.run(

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from wallsense import (
     DEFAULT_CHIRP,
@@ -23,7 +25,27 @@ from wallsense import (
     synthesize_beat,
 )
 
-from oracles import naive_spectrum
+from oracles import loop_find_peaks_in_series, naive_spectrum
+
+# Runs of one to three equal values, so ties, plateaus (at the edges too)
+# and +-0.0 neighbours are common; lengths start at 0.
+_VALUE = st.one_of(
+    st.sampled_from([-1.5, -0.0, 0.0, 0.25, 1.0, 3.0]),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+_SERIES = st.lists(st.tuples(_VALUE, st.integers(1, 3)), max_size=30).map(
+    lambda runs: np.array([v for v, k in runs for _ in range(k)], dtype=float)
+)
+_THRESHOLD = st.sampled_from([0.0, 0.25, 1.0, 2.5, 1e300])
+
+
+def _bits(peaks):
+    """Bin indices plus the exact bytes of each float field."""
+    return (
+        [p.bin_index for p in peaks],
+        *(np.array([getattr(p, f) for p in peaks], dtype=float).tobytes()
+          for f in ("range_m", "rsa", "prominence")),
+    )
 
 
 def _beat_from(samples):
@@ -126,6 +148,22 @@ class TestFindPeaks:
         loose = {p.bin_index for p in find_peaks_in_series(ranges, values, 0.1, 0.1)}
         tight = {p.bin_index for p in find_peaks_in_series(ranges, values, 0.4, 0.6)}
         assert tight <= loose
+
+    @pytest.mark.parametrize("values", [[], [2.0], [1.0, 2.0], [2.0, 1.0], [4.0] * 6])
+    def test_short_and_flat_series_have_no_peaks(self, values):
+        values = np.array(values)
+        assert find_peaks_in_series(np.arange(len(values), dtype=float), values) == []
+
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(_SERIES, _THRESHOLD, _THRESHOLD, st.sampled_from([0, 7, 250]))
+    @example(np.array([2.0, 2.0, 1.0, 3.0, 3.0, 0.0, -0.0, 0.5, 4.0, 4.0]), 0.0, 0.0, 0)
+    @example(np.array([0.0, -0.0, 1.0, -0.0, 0.0, 1.0, 1.0, 0.0]), 1.0, 0.0, 7)
+    def test_matches_the_loop_oracle_bit_for_bit(self, values, min_prominence, min_rsa, offset):
+        ranges = np.arange(len(values)) * 0.0749481145
+        args = (ranges, values, min_prominence, min_rsa, offset)
+        fast, slow = find_peaks_in_series(*args), loop_find_peaks_in_series(*args)
+        assert _bits(fast) == _bits(slow)
+        assert all(type(p.bin_index) is int for p in fast)
 
 
 class TestDetectPeaks:

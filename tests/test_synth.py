@@ -147,7 +147,8 @@ class TestSynthesizeBeat:
             synthesize_beat(_scene(2.0, noise=1e-3, seed=-1), DEFAULT_CHIRP)
 
     def test_too_few_samples_raises(self):
-        with pytest.raises(ValueError, match="^chirp yields 8 samples; need at least 16$"):
+        message = "chirp.sweep_time_s * chirp.sample_rate_hz = 8 samples; need at least 16"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             synthesize_beat(Scene(max_range_m=0.5), ChirpConfig(24e9, 2e9, 8e-6, 1e6))
 
     @pytest.mark.parametrize(
