@@ -19,7 +19,6 @@ from .scene import (
     Material,
     Scatterer,
     Scene,
-    TargetKind,
     Wall,
     validate_scene,
 )

@@ -100,7 +100,15 @@ def capture_baseline(
         if not peaks:
             raise ValueError("baseline profile has no peaks to anchor on")
         return Baseline(averaged, max(peaks, key=lambda p: p.rsa), label)
-    hint_bin = round(feature_range_hint_m / averaged.bin_spacing_m)
+    n = len(averaged)
+    # Clamped first: a hint far past the profile would overflow round().
+    hint_bin = feature_range_hint_m / averaged.bin_spacing_m
+    hint_bin = round(min(max(hint_bin, -HINT_BINS - 1), n + HINT_BINS))
+    if not -HINT_BINS <= hint_bin < n + HINT_BINS:
+        raise ValueError(
+            f"feature_range_hint_m {feature_range_hint_m} m is more than {HINT_BINS} bins "
+            f"outside the profile, which spans 0 to {n * averaged.bin_spacing_m:.6g} m"
+        )
     near = [p for p in peaks if abs(p.bin_index - hint_bin) <= HINT_BINS]
     if not near:
         raise ValueError(

@@ -42,7 +42,6 @@ from .scene import (
     SHEET_METAL,
     Scatterer,
     Scene,
-    TargetKind,
     Wall,
     validate_scene,
 )
@@ -298,9 +297,7 @@ def _human_sweep() -> Scenario:
         ScenarioStep(
             f"human_at_{r:.0f}m",
             (
-                AddScatterer(
-                    Scatterer("person", float(r), HUMAN_BODY, TargetKind.HUMAN)
-                ),
+                AddScatterer(Scatterer("person", float(r), HUMAN_BODY)),
             ),
         )
         for r in (1.0, 2.0, 3.0, 4.0)
@@ -328,9 +325,7 @@ def _copper_traverse() -> Scenario:
         ScenarioStep(
             f"position_{tag}",
             (
-                AddScatterer(
-                    Scatterer("copper_sheet", r, SHEET_METAL, TargetKind.METAL_SHEET)
-                ),
+                AddScatterer(Scatterer("copper_sheet", r, SHEET_METAL)),
             ),
         )
         for tag, r in (("A", 2.2), ("B", 1.6), ("C", 1.0), ("D", 0.4))

@@ -12,7 +12,6 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
-from enum import Enum
 
 # Range at which a reflector's return equals its bare reflectivity.
 REFERENCE_RANGE_M = 1.0
@@ -42,19 +41,6 @@ MATERIAL_PRESETS = {
 }
 
 
-class TargetKind(Enum):
-    """Ground-truth tag carried by scatterers.
-
-    Metadata only: documents and tests set it, and no pipeline stage or
-    writer reads it.
-    """
-
-    HUMAN = "human"
-    METAL_SHEET = "metal_sheet"
-    INFRASTRUCTURE = "infrastructure"
-    GENERIC = "generic"
-
-
 @dataclass(frozen=True)
 class Scatterer:
     """A discrete point reflector at a fixed range."""
@@ -62,7 +48,6 @@ class Scatterer:
     id: str
     range_m: float
     material: Material
-    kind: TargetKind = TargetKind.GENERIC
 
 
 @dataclass(frozen=True)

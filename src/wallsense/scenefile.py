@@ -27,7 +27,6 @@ from .scene import (
     Material,
     Scatterer,
     Scene,
-    TargetKind,
     Wall,
 )
 from .safety import TierConfig
@@ -42,7 +41,7 @@ class SceneConfig:
     scene: Scene
     chirp: ChirpConfig
     baseline_hint_m: float | None
-    bands: ClassBands | None
+    bands: ClassBands
     zone: MonitorZone | None
     tier_config: TierConfig
     detect_min_rsa: float
@@ -114,16 +113,7 @@ def _string(node: dict, key: str, path: str, default=None) -> str:
     return value
 
 
-def _kind(node: dict, key: str, path: str, default: TargetKind) -> TargetKind:
-    name = _string(node, key, path, default.value)
-    try:
-        return TargetKind(name)
-    except ValueError:
-        raise ValueError(f"{path}.{key}: unknown kind '{name}'") from None
-
-
-_READERS = {"float": _number, "int": _integer, "int | None": _integer,
-            "str": _string, "TargetKind": _kind}
+_READERS = {"float": _number, "int": _integer, "int | None": _integer, "str": _string}
 
 
 def _record(cls, node: dict, path: str, **given):
@@ -185,7 +175,7 @@ def parse_scene_config(doc: dict) -> SceneConfig:
     if "feature_range_hint" in node:
         hint = _threshold(node, "feature_range_hint", "baseline")
     node = _section(doc, "classifier", "bands")
-    bands = None if node is None else bands_from_mapping(node, "classifier.bands")
+    bands = DEFAULT_BANDS if node is None else bands_from_mapping(node, "classifier.bands")
     node = _section(doc, "monitor", "zone")
     return SceneConfig(
         scene=scene,
@@ -216,7 +206,7 @@ def scenario_from_config(
         pipeline=pipeline,
         chirp=cfg.chirp,
         baseline_hint_m=cfg.baseline_hint_m,
-        bands=cfg.bands if cfg.bands is not None else DEFAULT_BANDS,
+        bands=cfg.bands,
         zone=cfg.zone,
         tier_config=cfg.tier_config,
         detect_min_rsa=cfg.detect_min_rsa,

@@ -87,7 +87,7 @@ class BeatSignal:
 
 def beat_frequency(range_m: float, chirp: ChirpConfig) -> float:
     """Beat tone frequency for a reflector at range_m: 2*B*R / (c*T)."""
-    if range_m < 0:
+    if not range_m >= 0:  # NaN included
         raise ValueError(f"range_m must be >= 0, got {range_m}")
     return 2.0 * chirp.bandwidth_hz * range_m / (SPEED_OF_LIGHT_M_S * chirp.sweep_time_s)
 
@@ -144,7 +144,14 @@ def synthesize_beat(scene: Scene, chirp: ChirpConfig = DEFAULT_CHIRP) -> BeatSig
     if scene.max_range_m > chirp.max_unambiguous_range_m:
         raise ValueError(
             f"scene.max_range_m {scene.max_range_m} exceeds the maximum unambiguous "
-            f"range {chirp.max_unambiguous_range_m:.2f} m for this chirp"
+            f"range {chirp.max_unambiguous_range_m:.6g} m of chirp.bandwidth_hz "
+            f"{chirp.bandwidth_hz:.6g} over {chirp.n_samples} samples"
+        )
+    resolution = range_resolution(chirp)
+    if not resolution < scene.max_range_m:
+        raise ValueError(
+            f"chirp.bandwidth_hz {chirp.bandwidth_hz:.6g} gives a range resolution of "
+            f"{resolution:.6g} m, not below scene.max_range_m {scene.max_range_m}"
         )
 
     n = chirp.n_samples

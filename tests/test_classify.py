@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -59,6 +60,16 @@ class TestCaptureBaseline:
     def test_no_feature_near_hint(self):
         with pytest.raises(ValueError, match="reference feature not found within 3 bins of 3.0 m"):
             capture_baseline([_wall_profile()], 3.0)
+
+    @pytest.mark.parametrize("hint", [1e300, 1e308, 37.7, -0.3, -1e308])
+    def test_hint_outside_the_profile_is_named(self, hint):
+        # 500 bins of 0.0749 m: no bin lies within 3 of bin 503 or of bin -4.
+        message = (
+            f"feature_range_hint_m {hint} m is more than 3 bins outside the profile, "
+            "which spans 0 to 37.4741 m"
+        )
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            capture_baseline([_wall_profile()], hint)
 
     def test_hint_window_is_plus_minus_three_bins(self):
         # wall sits at bin 80; hint 6.2 m rounds to bin 83, hint 6.4 m to bin 85

@@ -1,9 +1,13 @@
 """Fuzz the CLI with valid documents that have one leaf replaced.
 
 Whatever the replacement, `simulate` and `scenario` must return an exit
-code (0, 1 or 2) and never raise. The base documents are the golden
+code (0, 1 or 2) and never raise, and a rejection (exit 1) must name the
+last key of the replaced path. The base documents are the golden
 fixtures, each with the full default chirp spelled out so that every
-chirp field is a leaf too.
+chirp field is a leaf too. To run every one-leaf replacement and list
+each rejection that does not name its key:
+
+    PYTHONPATH=src python tests/test_fuzz.py
 """
 
 import contextlib
@@ -65,6 +69,11 @@ def _replaced(doc: dict, path: tuple, value) -> dict:
     return doc
 
 
+def _key(path: tuple) -> str:
+    """The last string key of path: the field a rejection should name."""
+    return next(k for k in reversed(path) if isinstance(k, str))
+
+
 def _run(command: str, doc: dict) -> tuple[int, str]:
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "doc.json"
@@ -94,9 +103,30 @@ def _mutations(draw):
 @example(("scenario", "walk.json", ("chirp", "sweep_time_s"), 1e300))
 @example(("simulate", "noisy_room.json", ("scene", "scatterers", 0, "range_m"), 1e-200))
 @example(("simulate", "noisy_room.json", ("scene", "walls", 0, "range_m"), 1e-200))
+@example(("simulate", "noisy_room.json", ("chirp", "bandwidth_hz"), 1e300))
+@example(("scenario", "walk.json", ("chirp", "bandwidth_hz"), 1e-200))
+@example(("scenario", "walk.json", ("baseline", "feature_range_hint"), 1e300))
 def test_one_replaced_leaf_never_raises(case):
     command, name, path, value = case
     code, err = _run(command, _replaced(_base(name), path, value))
     assert code in (0, 1, 2)
     if code:
         assert err.startswith("error: ") and err.count("\n") == 1, err
+    if code == 1:
+        assert _key(path) in err, err
+
+
+if __name__ == "__main__":
+    import sys
+
+    unnamed = 0
+    for command, name in BASES:
+        base = _base(name)
+        for path in _leaves(base):
+            for value in POOL:
+                code, err = _run(command, _replaced(base, path, value))
+                if code == 1 and _key(path) not in err:
+                    unnamed += 1
+                    print(f"{command} {name} {path} = {value!r}: {err.strip()}")
+    print(f"{unnamed} rejection(s) without their key")
+    sys.exit(1 if unnamed else 0)

@@ -19,7 +19,6 @@ from wallsense import (
     Scatterer,
     Scene,
     TargetClass,
-    TargetKind,
     TierConfig,
     Wall,
     bands_from_mapping,
@@ -64,7 +63,7 @@ class TestParseSceneConfig:
         assert cfg.scene.scatterers == () and cfg.scene.walls == ()
         assert cfg.chirp == DEFAULT_CHIRP
         assert cfg.baseline_hint_m is None
-        assert cfg.bands is None
+        assert cfg.bands == DEFAULT_BANDS
         assert cfg.zone is None
         assert cfg.tier_config == TierConfig()
         assert (cfg.detect_min_rsa, cfg.detect_min_prominence) == (2e-4, 1e-4)
@@ -101,7 +100,7 @@ class TestParseSceneConfig:
         assert cfg.chirp.center_freq_hz == DEFAULT_CHIRP.center_freq_hz
         ids = [s.id for s in cfg.scene.scatterers]
         assert ids == ["person", "plate"]
-        assert cfg.scene.scatterers[0].kind is TargetKind.HUMAN
+        assert cfg.scene.scatterers[0] == Scatterer("person", 2.0, HUMAN_BODY)
         assert cfg.scene.scatterers[1].material.reflectivity == 0.85
         assert cfg.scene.walls[0].material.name == "lab_wall"
         assert (cfg.scene.rng_seed, cfg.scene.phase_seed) == (42, 9)
@@ -134,15 +133,11 @@ class TestParseSceneConfig:
         with pytest.raises(ValueError, match=r"material\.reflectivity"):
             parse_scene_config(doc)
 
-    def test_unknown_kind(self):
-        doc = {"scene": {"scatterers": [{"id": "s", "range_m": 1.0, "kind": "drone"}]}}
-        with pytest.raises(ValueError, match="unknown kind 'drone'"):
-            parse_scene_config(doc)
-
     def test_unknown_scatterer_keys_are_ignored(self):
         plain = {"scene": {"scatterers": [{"id": "s", "range_m": 1.0}]}}
-        extra = {"scene": {"scatterers": [{"id": "s", "range_m": 1.0, "extent_m": [{}, 1]}]}}
-        assert parse_scene_config(extra) == parse_scene_config(plain)
+        for key, value in (("extent_m", [{}, 1]), ("kind", "drone"), ("kind", 7)):
+            extra = {"scene": {"scatterers": [{"id": "s", "range_m": 1.0, key: value}]}}
+            assert parse_scene_config(extra) == parse_scene_config(plain)
 
     def test_wrong_container_types(self):
         with pytest.raises(ValueError, match=r"scene\.walls: expected an array"):

@@ -77,6 +77,10 @@ class TestBeatFrequency:
         with pytest.raises(ValueError, match="range_m"):
             beat_frequency(-1.0, DEFAULT_CHIRP)
 
+    def test_nan_range_raises(self):
+        with pytest.raises(ValueError, match="^range_m must be >= 0, got nan$"):
+            beat_frequency(math.nan, DEFAULT_CHIRP)
+
 
 class TestRangeResolution:
     def test_two_gigahertz(self):
@@ -136,6 +140,22 @@ class TestSynthesizeBeat:
         scene = Scene(scatterers=(), max_range_m=50.0)
         with pytest.raises(ValueError, match="unambiguous"):
             synthesize_beat(scene, DEFAULT_CHIRP)
+
+    def test_huge_bandwidth_is_named_in_the_unambiguous_range_error(self):
+        message = (
+            "scene.max_range_m 8.0 exceeds the maximum unambiguous range 7.49481e-290 m "
+            "of chirp.bandwidth_hz 1e+300 over 1000 samples"
+        )
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            synthesize_beat(Scene(), ChirpConfig(bandwidth_hz=1e300))
+
+    def test_tiny_bandwidth_whose_resolution_exceeds_the_scene_raises(self):
+        message = (
+            "chirp.bandwidth_hz 1e-200 gives a range resolution of 1.49896e+208 m, "
+            "not below scene.max_range_m 8.0"
+        )
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            synthesize_beat(Scene(), ChirpConfig(bandwidth_hz=1e-200))
 
     def test_invalid_scene_raises(self):
         scene = Scene(scatterers=(Scatterer("bad", 9.0, Material("m", 0.5, 0.0)),))
