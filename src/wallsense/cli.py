@@ -92,8 +92,7 @@ def _cmd_monitor(args: argparse.Namespace) -> int:
         zone = replace(zone, near_m=near, far_m=far) if zone else MonitorZone(near, far)
     if zone is None:
         raise ValueError("no monitor zone: pass --zone near,far or a monitor.zone section")
-    hint_m = zone.far_m if base_cfg.baseline_hint_m is None else base_cfg.baseline_hint_m
-    base_cfg = replace(base_cfg, zone=zone, baseline_hint_m=hint_m)
+    base_cfg = replace(base_cfg, zone=zone)
     baseline = _empty_room_baseline(base_cfg.scene, base_cfg.chirp, base_cfg.baseline_hint_m)
 
     def scan(path: str):

@@ -36,7 +36,10 @@ from .throughwall import MonitorZone
 
 @dataclass(frozen=True)
 class SceneConfig:
-    """Everything a single-scene command can pull from one document."""
+    """Everything a single-scene command can pull from one document.
+
+    Every field but scene is the Scenario setting of the same name.
+    """
 
     scene: Scene
     chirp: ChirpConfig
@@ -199,19 +202,8 @@ def scenario_from_config(
     cfg: SceneConfig, name: str, steps: tuple[ScenarioStep, ...], pipeline: tuple[str, ...]
 ) -> Scenario:
     """A scenario over cfg's scene that takes every other setting from cfg."""
-    return Scenario(
-        name=name,
-        base_scene=cfg.scene,
-        steps=steps,
-        pipeline=pipeline,
-        chirp=cfg.chirp,
-        baseline_hint_m=cfg.baseline_hint_m,
-        bands=cfg.bands,
-        zone=cfg.zone,
-        tier_config=cfg.tier_config,
-        detect_min_rsa=cfg.detect_min_rsa,
-        detect_min_prominence=cfg.detect_min_prominence,
-    )
+    settings = {f.name: getattr(cfg, f.name) for f in fields(cfg) if f.name != "scene"}
+    return Scenario(name, cfg.scene, steps, pipeline, **settings)
 
 
 def _mutation(node, path: str) -> Mutation:

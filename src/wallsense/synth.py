@@ -34,11 +34,10 @@ class ChirpConfig:
     """Sawtooth FMCW sweep parameters; every field must be positive.
 
     The sample count is fixed by sweep_time_s * sample_rate_hz; one sweep
-    is one scan. The defaults are a K-band stand-in: 24 GHz center, 2 GHz
-    sweep over 1 ms at 1 MS/s.
+    is one scan. The defaults are a K-band stand-in: a 2 GHz sweep over
+    1 ms at 1 MS/s.
     """
 
-    center_freq_hz: float = 24e9
     bandwidth_hz: float = 2e9
     sweep_time_s: float = 1e-3
     sample_rate_hz: float = 1e6
@@ -117,7 +116,7 @@ def synthesize_beat(scene: Scene, chirp: ChirpConfig = DEFAULT_CHIRP) -> BeatSig
 
     Args:
         scene: validated reflector arrangement.
-        chirp: sweep parameters; defaults to the stock 24 GHz profile.
+        chirp: sweep parameters; defaults to DEFAULT_CHIRP.
 
     Returns:
         BeatSignal whose samples are the sum over reflectors of

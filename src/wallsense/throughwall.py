@@ -52,7 +52,10 @@ class MonitorZone:
             raise ValueError(f"guard_bins must be >= 0, got {self.guard_bins}")
 
     def monitored_interval(self, bin_spacing_m: float) -> tuple[float, float]:
-        guard = self.guard_bins * bin_spacing_m
+        try:
+            guard = self.guard_bins * bin_spacing_m
+        except OverflowError:  # an integer count beyond any float
+            guard = math.inf
         return self.near_m + guard, self.far_m - guard
 
 
@@ -97,7 +100,8 @@ def detect_occupancy(
     lo, hi = zone.monitored_interval(scan.bin_spacing_m)
     if lo >= hi:
         raise ValueError(
-            f"guard bins consume the whole zone ({zone.near_m}, {zone.far_m})"
+            f"guard bins consume the whole zone ({zone.near_m}, {zone.far_m}): "
+            f"guard_bins {zone.guard_bins} at a bin spacing of {scan.bin_spacing_m:.6g} m"
         )
     mask = (scan.ranges_m > lo) & (scan.ranges_m < hi)
     idx = np.flatnonzero(mask)

@@ -86,7 +86,7 @@ class TestCaptureBaseline:
     def test_rejects_mixed_chirps(self):
         from wallsense import ChirpConfig
 
-        other = ChirpConfig(24e9, 1e9, 1e-3, 1e6)
+        other = ChirpConfig(1e9, 1e-3, 1e6)
         scene = Scene(walls=(Wall("back", 6.0, LAB_WALL),))
         profiles = [
             _wall_profile(),

@@ -276,6 +276,31 @@ class TestMonitor:
         assert abs(float(range_m) - 1.6) < 0.08
         assert float(excess) > 0.01
 
+    def test_hintless_baseline_needs_no_peak_at_the_zone_edge(self, tmp_path):
+        # The zone ends at 2.3 m, where the empty corridor has no peak; the
+        # throughwall stage reads the baseline profile, not its anchor.
+        scan = _write_doc(tmp_path, "scan.json", SHEET_BEHIND_PARTITION)
+        written = []
+        hinted = dict(PARTITION, baseline={"feature_range_hint": 2.6})
+        for name, doc in (("hintless", PARTITION), ("hinted", hinted)):
+            base = _write_doc(tmp_path, f"{name}.json", doc)
+            code = main(["monitor", "--baseline", base, "--scene", scan, "--zone", "0.3,2.3",
+                         "--out", str(tmp_path / name)])
+            assert code == 0
+            written.append((tmp_path / name / "monitor.csv").read_bytes())
+        assert written[0] == written[1]
+        assert b",True," in written[0]
+
+    def test_guard_bins_beyond_any_float_exits_1_naming_the_field(self, tmp_path, capsys):
+        zone = {"near_m": 0.1, "far_m": 2.6, "guard_bins": 10**400}
+        base = _write_doc(tmp_path, "base.json", dict(PARTITION, monitor={"zone": zone}))
+        code = main(["monitor", "--baseline", base, "--scene", base, "--out", str(tmp_path / "o")])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"error: step 0 ('{base}') stage 'throughwall': guard bins consume the whole "
+            f"zone (0.1, 2.6): guard_bins {10**400} at a bin spacing of 0.0749481 m\n"
+        )
+
     def test_zone_flag_when_config_has_none(self, tmp_path):
         doc = {"scene": PARTITION["scene"]}
         base = _write_doc(tmp_path, "base.json", doc)
@@ -336,7 +361,8 @@ class TestMonitor:
         assert captured.out == ""
         assert captured.err == (
             f"error: step 0 ('{empty}') stage 'throughwall': "
-            "guard bins consume the whole zone (1.0, 1.1)\n"
+            "guard bins consume the whole zone (1.0, 1.1): "
+            "guard_bins 2 at a bin spacing of 0.0749481 m\n"
         )
 
 

@@ -3,9 +3,10 @@
 Whatever the replacement, `simulate` and `scenario` must return an exit
 code (0, 1 or 2) and never raise, and a rejection (exit 1) must name the
 last key of the replaced path. The base documents are the golden
-fixtures, each with the full default chirp spelled out so that every
-chirp field is a leaf too. To run every one-leaf replacement and list
-each rejection that does not name its key:
+fixtures, each with the full default chirp and the defaults of any
+monitor zone spelled out so that every chirp and zone field is a leaf
+too. To run every one-leaf replacement and list each rejection that does
+not name its key:
 
     PYTHONPATH=src python tests/test_fuzz.py
 """
@@ -22,7 +23,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from wallsense import DEFAULT_CHIRP
+from wallsense import DEFAULT_CHIRP, MonitorZone
 from wallsense.cli import main
 
 from test_golden import DOCS
@@ -30,8 +31,9 @@ from test_golden import DOCS
 # No value here makes a run allocate a large array: 1e300 as sweep_time_s
 # or sample_rate_hz, and 1 as sweep_time_s, ask for more samples than
 # synth.MAX_SAMPLES and fail before synthesis. 1e-200 as a range_m makes
-# the inverse-square spreading gain overflow.
-POOL = (None, "", [], {}, True, -1, 0, 1e300, 1e-200, "x", [{}])
+# the inverse-square spreading gain overflow. 10**400 is a JSON integer
+# that converts to no float.
+POOL = (None, "", [], {}, True, -1, 0, 1e300, 1e-200, "x", [{}], 10**400)
 
 BASES = [
     *(("simulate", name) for name, doc in sorted(DOCS.items())
@@ -43,6 +45,10 @@ BASES = [
 def _base(name: str) -> dict:
     doc = copy.deepcopy(DOCS[name])
     doc["chirp"] = {**dataclasses.asdict(DEFAULT_CHIRP), **doc.get("chirp", {})}
+    if "zone" in doc.get("monitor", {}):
+        defaults = {f.name: f.default for f in dataclasses.fields(MonitorZone)
+                    if f.default is not dataclasses.MISSING}
+        doc["monitor"]["zone"] = {**defaults, **doc["monitor"]["zone"]}
     return doc
 
 
@@ -106,6 +112,7 @@ def _mutations(draw):
 @example(("simulate", "noisy_room.json", ("chirp", "bandwidth_hz"), 1e300))
 @example(("scenario", "walk.json", ("chirp", "bandwidth_hz"), 1e-200))
 @example(("scenario", "walk.json", ("baseline", "feature_range_hint"), 1e300))
+@example(("scenario", "walk.json", ("monitor", "zone", "guard_bins"), 10**400))
 def test_one_replaced_leaf_never_raises(case):
     command, name, path, value = case
     code, err = _run(command, _replaced(_base(name), path, value))

@@ -10,8 +10,9 @@ The table was generated before `classify` and `monitor` were moved onto
 the scenario scan loop and writers, on x86-64 with numpy 2.4.6: while it
 passes, that refactor changed no output byte. The two `scenario_walk`
 digests were regenerated since, when `summary.csv` stopped declaring a
-target that its step removed. Regenerate it only for an intended output
-change:
+target that its step removed, and the `monitor_guard_bins_fill_zone`
+digest when the guard-bins error began naming `guard_bins` and the bin
+spacing. Regenerate it only for an intended output change:
 
     PYTHONPATH=src python tests/test_golden.py
 """
@@ -234,7 +235,7 @@ GOLDEN = {
     "classify_plate_4_bins_from_reference": "47faee7166d61338",
     "monitor_bad_zone_flag": "81e15629e0a14747",
     "monitor_cli_docs": "331a28132a1f1fe1",
-    "monitor_guard_bins_fill_zone": "93a9bfeb9c3c50ba",
+    "monitor_guard_bins_fill_zone": "0339fe2668fddd23",
     "monitor_no_zone": "ddb2c5c42991f143",
     "monitor_scan_chirp_mismatch": "9c79fe95fbffcc2f",
     "monitor_scan_invalid": "c0f2724dea9db10c",

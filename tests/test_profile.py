@@ -50,7 +50,7 @@ def _bits(peaks):
 
 def _beat_from(samples):
     samples = np.asarray(samples, dtype=float)
-    chirp = ChirpConfig(24e9, 2e9, len(samples) * 1e-6, 1e6)
+    chirp = ChirpConfig(2e9, len(samples) * 1e-6, 1e6)
     return BeatSignal(samples, chirp)
 
 
@@ -75,6 +75,10 @@ class TestRangeProfile:
         assert a.ranges_m is b.ranges_m
         assert not a.ranges_m.flags.writeable
         assert not a.rsa.flags.writeable
+
+    def test_unknown_window_is_rejected(self):
+        with pytest.raises(ValueError, match="^unknown window 'blackman'$"):
+            range_profile(synthesize_beat(Scene(), DEFAULT_CHIRP), "blackman")
 
     def test_rsa_of_the_wrong_length_is_rejected(self):
         with pytest.raises(ValueError, match=r"^rsa has 499 bins, chirp expects 500$"):

@@ -81,6 +81,10 @@ class TestApplyMutations:
         with pytest.raises(ValueError, match="no scatterer with id 'ghost' to remove"):
             apply_mutations(Scene(), (RemoveScatterer("ghost"),))
 
+    def test_unknown_mutation_rejected(self):
+        with pytest.raises(ValueError, match=r"^unknown mutation 'grow'$"):
+            apply_mutations(Scene(), ("grow",))
+
     def test_original_scene_is_untouched(self):
         scene = Scene(scatterers=(_person("a", 2.0),))
         apply_mutations(scene, (MoveScatterer("a", 4.0),))
@@ -140,9 +144,15 @@ class TestPipelineValidation:
         with pytest.raises(ValueError, match="'classify' requires"):
             run_scenario(_scenario([], pipeline=("profile", "classify")))
 
-    def test_rrm_needs_a_baseline_hint(self):
-        with pytest.raises(ValueError, match="baseline_hint_m"):
-            run_scenario(_scenario([], pipeline=("profile", "rrm")))
+    def test_an_absent_hint_anchors_on_the_strongest_baseline_peak(self):
+        pipeline = ("profile", "rrm", "throughwall")
+        hinted, hintless = (
+            run_scenario(_scenario([], pipeline, zone=MonitorZone(0.5, 5.5), baseline_hint_m=hint))
+            for hint in (6.0, None)
+        )
+        anchor = hintless.baseline.reference_feature
+        assert anchor == hinted.baseline.reference_feature
+        assert anchor.rsa == hintless.baseline.profile.rsa.max()
 
     def test_throughwall_needs_a_zone(self):
         with pytest.raises(ValueError, match="monitor zone"):
@@ -342,6 +352,16 @@ class TestWriters:
             "Approaching",
         ]
         assert [line.split(",")[1] for line in monitor[1:]] == ["True"] * 4
+
+    @pytest.mark.parametrize("name", ["human_sweep", "copper_traverse"])
+    def test_builtins_write_the_same_bytes_without_their_hint(self, name, tmp_path):
+        scenario = builtin_scenario(name)
+        hinted = write_run_result(run_scenario(scenario), tmp_path / "hinted")
+        hintless = write_run_result(
+            run_scenario(replace(scenario, baseline_hint_m=None)), tmp_path / "hintless"
+        )
+        assert [p.name for p in hintless] == [p.name for p in hinted]
+        assert [p.read_bytes() for p in hintless] == [p.read_bytes() for p in hinted]
 
     def test_reruns_are_byte_identical(self, tmp_path):
         for name in ("human_sweep", "copper_traverse"):

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import re
@@ -17,6 +18,7 @@ from wallsense import (
     MoveScatterer,
     RemoveScatterer,
     Scatterer,
+    Scenario,
     Scene,
     TargetClass,
     TierConfig,
@@ -29,6 +31,7 @@ from wallsense import (
     parse_labeled_rrm_csv,
     parse_scenario,
     parse_scene_config,
+    scenario_from_config,
 )
 
 FULL_DOC = {
@@ -97,7 +100,6 @@ class TestParseSceneConfig:
     def test_full_document(self):
         cfg = parse_scene_config(FULL_DOC)
         assert cfg.chirp.bandwidth_hz == 1e9
-        assert cfg.chirp.center_freq_hz == DEFAULT_CHIRP.center_freq_hz
         ids = [s.id for s in cfg.scene.scatterers]
         assert ids == ["person", "plate"]
         assert cfg.scene.scatterers[0] == Scatterer("person", 2.0, HUMAN_BODY)
@@ -111,6 +113,14 @@ class TestParseSceneConfig:
         assert cfg.zone.excess_threshold == 0.02
         assert cfg.tier_config.stop_range_m == 0.8
         assert cfg.detect_min_rsa == 3e-4
+
+    def test_a_scenario_takes_every_setting_from_the_document(self):
+        cfg = parse_scene_config(FULL_DOC)
+        scenario = scenario_from_config(cfg, "full", (), ("profile",))
+        assert scenario.base_scene == cfg.scene
+        for f in dataclasses.fields(Scenario):
+            if f.default is not dataclasses.MISSING:
+                assert getattr(scenario, f.name) == getattr(cfg, f.name) != f.default, f.name
 
     def test_unknown_material_preset(self):
         doc = {"scene": {"walls": [{"id": "w", "range_m": 1.0, "material": "styrofoam"}]}}
@@ -139,6 +149,13 @@ class TestParseSceneConfig:
             extra = {"scene": {"scatterers": [{"id": "s", "range_m": 1.0, key: value}]}}
             assert parse_scene_config(extra) == parse_scene_config(plain)
 
+    def test_a_carrier_frequency_is_ignored(self):
+        # Older documents carry chirp.center_freq_hz, which no sample depends on.
+        plain = parse_scene_config({"chirp": {"bandwidth_hz": 1e9}})
+        for value in (24e9, -1, "K-band"):
+            doc = {"chirp": {"center_freq_hz": value, "bandwidth_hz": 1e9}}
+            assert parse_scene_config(doc) == plain
+
     def test_wrong_container_types(self):
         with pytest.raises(ValueError, match=r"scene\.walls: expected an array"):
             parse_scene_config({"scene": {"walls": {}}})
@@ -158,9 +175,7 @@ class TestParseSceneConfig:
 
 
 class TestStrictFields:
-    @pytest.mark.parametrize(
-        "field", ["center_freq_hz", "bandwidth_hz", "sweep_time_s", "sample_rate_hz"]
-    )
+    @pytest.mark.parametrize("field", ["bandwidth_hz", "sweep_time_s", "sample_rate_hz"])
     @pytest.mark.parametrize("value", [0, -1.0])
     def test_chirp_fields_must_be_positive(self, field, value):
         with pytest.raises(ValueError, match=rf"chirp\.{field}: expected a positive number"):

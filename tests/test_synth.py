@@ -14,6 +14,7 @@ from wallsense import (
     DEFAULT_CHIRP,
     HUMAN_BODY,
     SPEED_OF_LIGHT_M_S,
+    BeatSignal,
     ChirpConfig,
     Material,
     Scatterer,
@@ -44,6 +45,10 @@ def _scene(*ranges, reflectivity=0.5, noise=0.0, seed=0):
 class TestChirpConfig:
     def test_default_sample_count(self):
         assert DEFAULT_CHIRP.n_samples == 1000
+
+    def test_fields_are_the_sweep_alone(self):
+        names = tuple(f.name for f in dataclasses.fields(ChirpConfig))
+        assert names == ("bandwidth_hz", "sweep_time_s", "sample_rate_hz")
 
     def test_max_unambiguous_range(self):
         # c * fs * T / (4 * B)
@@ -87,7 +92,7 @@ class TestRangeResolution:
         assert range_resolution(DEFAULT_CHIRP) == pytest.approx(0.0749481145, rel=1e-12)
 
     def test_one_gigahertz(self):
-        chirp = ChirpConfig(24e9, 1e9, 1e-3, 1e6)
+        chirp = ChirpConfig(1e9, 1e-3, 1e6)
         assert range_resolution(chirp) == pytest.approx(0.149896229, rel=1e-12)
 
 
@@ -169,7 +174,7 @@ class TestSynthesizeBeat:
     def test_too_few_samples_raises(self):
         message = "chirp.sweep_time_s * chirp.sample_rate_hz = 8 samples; need at least 16"
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-            synthesize_beat(Scene(max_range_m=0.5), ChirpConfig(24e9, 2e9, 8e-6, 1e6))
+            synthesize_beat(Scene(max_range_m=0.5), ChirpConfig(2e9, 8e-6, 1e6))
 
     @pytest.mark.parametrize(
         "sweep_time_s, sample_rate_hz",
@@ -180,7 +185,7 @@ class TestSynthesizeBeat:
         ],
     )
     def test_sample_count_is_bounded_before_rounding(self, sweep_time_s, sample_rate_hz):
-        chirp = ChirpConfig(24e9, 2e9, sweep_time_s, sample_rate_hz)
+        chirp = ChirpConfig(2e9, sweep_time_s, sample_rate_hz)
         with pytest.raises(ValueError, match=r"^chirp\.sweep_time_s \* chirp\.sample_rate_hz = .* samples; at most"):
             synthesize_beat(Scene(max_range_m=0.5), chirp)
 
@@ -190,10 +195,24 @@ class TestSynthesizeBeat:
             beat.samples[0] = 1.0
 
 
+class TestBeatSignal:
+    def test_sample_count_must_match_the_chirp(self):
+        message = "^sample count 999 does not match chirp n_samples 1000$"
+        with pytest.raises(ValueError, match=message):
+            BeatSignal(np.zeros(999), DEFAULT_CHIRP)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_samples_are_rejected(self, value):
+        samples = np.zeros(DEFAULT_CHIRP.n_samples)
+        samples[500] = value
+        with pytest.raises(ValueError, match="^beat signal contains non-finite samples$"):
+            BeatSignal(samples, DEFAULT_CHIRP)
+
+
 # Both give every range the same beat frequency as DEFAULT_CHIRP, so their
 # terms differ from its terms only in the sample rate or only in n.
-OTHER_RATE_CHIRP = ChirpConfig(77e9, 1e9, 5e-4, 2e6)
-OTHER_LENGTH_CHIRP = ChirpConfig(24e9, 1e9, 5e-4, 1e6)
+OTHER_RATE_CHIRP = ChirpConfig(1e9, 5e-4, 2e6)
+OTHER_LENGTH_CHIRP = ChirpConfig(1e9, 5e-4, 1e6)
 
 # A few ranges drawn from a small pool, so walls and scatterers share them.
 RANGES = (0.61, 1.37, 2.23, 3.9, 5.17, 7.9)

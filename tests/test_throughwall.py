@@ -1,4 +1,5 @@
 import math
+import re
 
 import pytest
 
@@ -127,7 +128,7 @@ class TestDetectOccupancy:
     def test_chirp_mismatch_raises(self):
         from wallsense import ChirpConfig
 
-        other = ChirpConfig(24e9, 1e9, 1e-3, 1e6)
+        other = ChirpConfig(1e9, 1e-3, 1e6)
         scan = range_profile(
             synthesize_beat(Scene(walls=WALLS, phase_seed=3), other)
         )
@@ -138,6 +139,17 @@ class TestDetectOccupancy:
         tiny = MonitorZone(1.0, 1.2)
         with pytest.raises(ValueError, match="guard bins consume"):
             detect_occupancy(_baseline(), _profile(), tiny)
+
+    @pytest.mark.parametrize("guard_bins", [35, 10**308, 10**400], ids=["35", "1e308", "1e400"])
+    def test_guard_bins_filling_the_zone_are_named(self, guard_bins):
+        # 35 bins off each end cover the 5.1 m zone; 10**400 converts to no float.
+        zone = MonitorZone(0.1, 5.2, guard_bins=guard_bins)
+        message = (
+            f"guard bins consume the whole zone (0.1, 5.2): guard_bins {guard_bins} "
+            f"at a bin spacing of {SPACING:.6g} m"
+        )
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            detect_occupancy(_baseline(), _profile(), zone)
 
 
 class TestTrackApproach:
