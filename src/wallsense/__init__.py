@@ -20,7 +20,6 @@ from .scene import (
     Scatterer,
     Scene,
     Wall,
-    validate_scene,
 )
 from .synth import (
     DEFAULT_CHIRP,

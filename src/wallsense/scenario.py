@@ -43,7 +43,6 @@ from .scene import (
     Scatterer,
     Scene,
     Wall,
-    validate_scene,
 )
 from .synth import DEFAULT_CHIRP, ChirpConfig, synthesize_beat
 from .throughwall import (
@@ -105,6 +104,20 @@ class Scenario:
     detect_min_rsa: float = 2e-4
     detect_min_prominence: float = 1e-4
 
+    def __post_init__(self) -> None:
+        for stage in self.pipeline:
+            if stage not in STAGES:
+                raise ValueError(f"unknown pipeline stage '{stage}'")
+        has = set(self.pipeline)
+        if has - {"profile"} and "profile" not in has:
+            raise ValueError("pipeline needs the 'profile' stage before any other stage")
+        if "classify" in has and "rrm" not in has:
+            raise ValueError("'classify' requires the 'rrm' stage")
+        if "safety" in has and not has & {"classify", "throughwall"}:
+            raise ValueError("'safety' requires the 'classify' or 'throughwall' stage")
+        if "throughwall" in has and self.zone is None:
+            raise ValueError("'throughwall' requires a monitor zone")
+
 
 @dataclass(frozen=True)
 class StepResult:
@@ -133,8 +146,6 @@ def apply_mutations(scene: Scene, mutations: tuple[Mutation, ...]) -> Scene:
     scatterers = list(scene.scatterers)
     for m in mutations:
         if isinstance(m, AddScatterer):
-            if any(s.id == m.scatterer.id for s in scatterers):
-                raise ValueError(f"scatterer id '{m.scatterer.id}' already present")
             scatterers.append(m.scatterer)
         elif isinstance(m, MoveScatterer):
             hits = [i for i, s in enumerate(scatterers) if s.id == m.scatterer_id]
@@ -164,21 +175,6 @@ def _declared_target_range(step: ScenarioStep) -> float | None:
     return range_m
 
 
-def _validate_pipeline(scenario: Scenario) -> None:
-    for stage in scenario.pipeline:
-        if stage not in STAGES:
-            raise ValueError(f"unknown pipeline stage '{stage}'")
-    has = set(scenario.pipeline)
-    if has - {"profile"} and "profile" not in has:
-        raise ValueError("pipeline needs the 'profile' stage before any other stage")
-    if "classify" in has and "rrm" not in has:
-        raise ValueError("'classify' requires the 'rrm' stage")
-    if "safety" in has and not has & {"classify", "throughwall"}:
-        raise ValueError("'safety' requires the 'classify' or 'throughwall' stage")
-    if "throughwall" in has and scenario.zone is None:
-        raise ValueError("'throughwall' requires a monitor zone")
-
-
 def _empty_room_baseline(scene: Scene, chirp: ChirpConfig, hint_m: float | None) -> Baseline:
     """The baseline of one Hann-windowed empty-room scan; capture_baseline reads hint_m."""
     return capture_baseline([range_profile(synthesize_beat(scene, chirp), Window.HANN)], hint_m)
@@ -191,9 +187,6 @@ def run_scenario(scenario: Scenario) -> RunResult:
     index and stage.
     """
     base = scenario.base_scene
-    _validate_pipeline(scenario)
-    validate_scene(base)
-
     baseline: Baseline | None = None
     if "rrm" in scenario.pipeline or "throughwall" in scenario.pipeline:
         baseline = _empty_room_baseline(base, scenario.chirp, scenario.baseline_hint_m)

@@ -41,22 +41,49 @@ MATERIAL_PRESETS = {
 }
 
 
+def _owner(ref: _Reflector) -> str:
+    return f"{type(ref).__name__.lower()} '{ref.id}'"
+
+
 @dataclass(frozen=True)
-class Scatterer:
+class _Reflector:
+    """A reflector that checks its own range and material when built.
+
+    A range below a scene's max_range_m is the scene's check. Each check is
+    written so that NaN fails it.
+    """
+
+    id: str
+    range_m: float
+    material: Material
+
+    def __post_init__(self) -> None:
+        v: list[str] = []
+        if not self.range_m > 0:
+            v.append(f"range_m must be > 0, got {self.range_m}")
+        else:
+            # _amplitude's spreading gain; below about 7.5e-155 m it overflows
+            # (gain * gain rounds as gain**2 does, but gives inf where ** raises).
+            gain = REFERENCE_RANGE_M / self.range_m
+            if not gain * gain < math.inf:
+                v.append(f"range_m {self.range_m} is too small, its spreading gain overflows")
+        m = self.material
+        if not 0 <= m.reflectivity < math.inf:
+            v.append(f"material.reflectivity must be finite and >= 0, got {m.reflectivity}")
+        if not 0.0 <= m.transmissivity <= 1.0:
+            v.append(f"material.transmissivity must be in [0, 1], got {m.transmissivity}")
+        if v:
+            raise ValueError("; ".join(f"{_owner(self)}: {problem}" for problem in v))
+
+
+@dataclass(frozen=True)
+class Scatterer(_Reflector):
     """A discrete point reflector at a fixed range."""
 
-    id: str
-    range_m: float
-    material: Material
-
 
 @dataclass(frozen=True)
-class Wall:
+class Wall(_Reflector):
     """A planar obstruction; attenuates every reflector behind it."""
-
-    id: str
-    range_m: float
-    material: Material
 
 
 @dataclass(frozen=True)
@@ -77,6 +104,42 @@ class Scene:
     rng_seed: int = 0
     phase_seed: int | None = None
 
+    def __post_init__(self) -> None:
+        """Check the scalars and the rules that span reflectors.
+
+        Raises one ValueError listing every problem, joined by "; ". NaN
+        fails every numeric check. run_scenario builds two scenes per step,
+        so a valid scene builds no message.
+        """
+        v: list[str] = []
+        if not self.max_range_m > 0:
+            v.append(f"scene.max_range_m must be > 0, got {self.max_range_m}")
+        if not 0 <= self.noise_amplitude < math.inf:
+            v.append(f"scene.noise_amplitude must be finite and >= 0, got {self.noise_amplitude}")
+        if not self.rng_seed >= 0:
+            v.append(f"scene.rng_seed must be >= 0, got {self.rng_seed}")
+        v += [
+            f"{_owner(r)} at {r.range_m} m is out of bounds (max_range_m {self.max_range_m})"
+            for r in (*self.scatterers, *self.walls)
+            if not r.range_m < self.max_range_m
+        ]
+        ranges = [w.range_m for w in self.walls]
+        if ranges != sorted(ranges):
+            v.append("walls not sorted by range ascending")
+        seen: dict[float, str] = {}
+        for w in self.walls:
+            if w.range_m in seen:
+                first = seen[w.range_m]
+                v.append(f"duplicate wall range at {w.range_m} m ('{first}', '{w.id}')")
+            else:
+                seen[w.range_m] = w.id
+        refs = self.reflectors()
+        if len({r.id for r in refs}) < len(refs):
+            counts = Counter(r.id for r in refs)
+            v += [f"duplicate reflector id '{i}'" for i in sorted(counts) if counts[i] > 1]
+        if v:
+            raise ValueError("; ".join(v))
+
     @property
     def effective_phase_seed(self) -> int:
         return self.rng_seed if self.phase_seed is None else self.phase_seed
@@ -84,71 +147,6 @@ class Scene:
     def reflectors(self) -> tuple[Wall | Scatterer, ...]:
         """All reflectors in deterministic order: walls first, then scatterers."""
         return (*self.walls, *self.scatterers)
-
-
-def _check_material(owner: str, material: Material, out: list[str]) -> None:
-    # Each check is written so that NaN fails it.
-    if not 0 <= material.reflectivity < math.inf:
-        out.append(
-            f"{owner}: material.reflectivity must be finite and >= 0, got {material.reflectivity}"
-        )
-    if not 0.0 <= material.transmissivity <= 1.0:
-        out.append(
-            f"{owner}: material.transmissivity must be in [0, 1], got {material.transmissivity}"
-        )
-
-
-def _check_range(owner: str, range_m: float, max_range_m: float, out: list[str]) -> None:
-    if not range_m > 0:
-        out.append(f"{owner}: range_m must be > 0, got {range_m}")
-    elif not range_m < max_range_m:
-        out.append(f"{owner} at {range_m} m is out of bounds (max_range_m {max_range_m})")
-    else:
-        # The spreading gain _amplitude applies; below about 7.5e-155 m it overflows.
-        try:
-            gain = (REFERENCE_RANGE_M / range_m) ** 2
-        except OverflowError:
-            gain = math.inf
-        if not math.isfinite(gain):
-            out.append(f"{owner}: range_m {range_m} is too small, its spreading gain overflows")
-
-
-def validate_scene(scene: Scene) -> None:
-    """Check ranges, ordering, and material coefficients.
-
-    Raises one ValueError listing every problem, joined by "; ", so callers
-    see them all at once. NaN fails every numeric check.
-    """
-    v: list[str] = []
-    if not scene.max_range_m > 0:
-        v.append(f"scene.max_range_m must be > 0, got {scene.max_range_m}")
-    if not 0 <= scene.noise_amplitude < math.inf:
-        v.append(f"scene.noise_amplitude must be finite and >= 0, got {scene.noise_amplitude}")
-    if not scene.rng_seed >= 0:
-        v.append(f"scene.rng_seed must be >= 0, got {scene.rng_seed}")
-
-    for kind, reflectors in (("scatterer", scene.scatterers), ("wall", scene.walls)):
-        for r in reflectors:
-            owner = f"{kind} '{r.id}'"
-            _check_range(owner, r.range_m, scene.max_range_m, v)
-            _check_material(owner, r.material, v)
-
-    ranges = [w.range_m for w in scene.walls]
-    if ranges != sorted(ranges):
-        v.append("walls not sorted by range ascending")
-    seen: dict[float, str] = {}
-    for w in scene.walls:
-        if w.range_m in seen:
-            v.append(f"duplicate wall range at {w.range_m} m ('{seen[w.range_m]}', '{w.id}')")
-        else:
-            seen[w.range_m] = w.id
-
-    counts = Counter(r.id for r in scene.reflectors())
-    for rid in sorted(i for i, k in counts.items() if k > 1):
-        v.append(f"duplicate reflector id '{rid}'")
-
-    if v:
-        raise ValueError("; ".join(v))
 
 
 def _amplitude(scene: Scene, ref: Scatterer | Wall) -> float:

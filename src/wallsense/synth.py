@@ -14,7 +14,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .scene import Scene, _amplitude, validate_scene
+from .scene import Scene, _amplitude
 
 SPEED_OF_LIGHT_M_S = 299_792_458.0
 
@@ -115,7 +115,8 @@ def synthesize_beat(scene: Scene, chirp: ChirpConfig = DEFAULT_CHIRP) -> BeatSig
     """Render a scene into one scan of beat samples.
 
     Args:
-        scene: validated reflector arrangement.
+        scene: reflector arrangement; it checked itself when built, so only
+            the checks that join it to the chirp run here.
         chirp: sweep parameters; defaults to DEFAULT_CHIRP.
 
     Returns:
@@ -126,7 +127,6 @@ def synthesize_beat(scene: Scene, chirp: ChirpConfig = DEFAULT_CHIRP) -> BeatSig
     Identical (scene, chirp) inputs give bit-identical output arrays.
     """
     global _last
-    validate_scene(scene)
     # Bound the sample count before rounding it: an overflowing or huge
     # product must fail here, not in round() or the allocation.
     product = chirp.sweep_time_s * chirp.sample_rate_hz

@@ -1,12 +1,15 @@
 import json
 import math
+import runpy
 import shutil
 import subprocess
+import sys
 import types
 
 import pytest
 
 import wallsense
+from wallsense import cli
 from wallsense.cli import main
 
 EMPTY_ROOM = {
@@ -122,6 +125,26 @@ class TestParserBasics:
         )
         assert proc.returncode == 0
         assert proc.stdout.strip() == f"wallsense {wallsense.__version__}"
+
+    def test_run_exits_with_the_status_of_main(self, tmp_path, monkeypatch, capsys):
+        # The console script's body, in-process.
+        scene = _write_doc(tmp_path, "bad.json", {"scene": {"max_range_m": 0}})
+        argv = ["wallsense", "simulate", "--scene", scene, "--out", str(tmp_path / "out")]
+        monkeypatch.setattr(sys, "argv", argv)
+        with pytest.raises(SystemExit) as exc:
+            cli.run()
+        assert exc.value.code == 1
+        assert capsys.readouterr().err == "error: scene.max_range_m must be > 0, got 0.0\n"
+
+    def test_module_runs_as_a_script(self, tmp_path, monkeypatch, capsys):
+        # `python -m wallsense.cli`, in-process: a fresh copy of the module runs
+        # as __main__, so the imported one leaves sys.modules meanwhile.
+        monkeypatch.setattr(sys, "argv", ["wallsense", "calibrate", "--out", str(tmp_path)])
+        monkeypatch.delitem(sys.modules, "wallsense.cli")
+        with pytest.raises(SystemExit) as exc:
+            runpy.run_module("wallsense.cli", run_name="__main__")
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.endswith(f"{tmp_path / 'bands.json'}\n")
 
 
 class TestSimulate:

@@ -162,6 +162,7 @@ class TestFindPeaks:
     @given(_SERIES, _THRESHOLD, _THRESHOLD, st.sampled_from([0, 7, 250]))
     @example(np.array([2.0, 2.0, 1.0, 3.0, 3.0, 0.0, -0.0, 0.5, 4.0, 4.0]), 0.0, 0.0, 0)
     @example(np.array([0.0, -0.0, 1.0, -0.0, 0.0, 1.0, 1.0, 0.0]), 1.0, 0.0, 7)
+    @example(np.array([0.0, 1.0, 0.0]), 0.0, 0.0, 0)  # the shortest series with a peak
     def test_matches_the_loop_oracle_bit_for_bit(self, values, min_prominence, min_rsa, offset):
         ranges = np.arange(len(values)) * 0.0749481145
         args = (ranges, values, min_prominence, min_rsa, offset)

@@ -70,8 +70,17 @@ class TestApplyMutations:
 
     def test_duplicate_add_rejected(self):
         scene = Scene(scatterers=(_person("a", 2.0),))
-        with pytest.raises(ValueError, match="already present"):
+        with pytest.raises(ValueError, match=r"^duplicate reflector id 'a'$"):
             apply_mutations(scene, (AddScatterer(_person("a", 3.0)),))
+
+    def test_add_with_a_wall_id_rejected(self):
+        with pytest.raises(ValueError, match=r"^duplicate reflector id 'back'$"):
+            apply_mutations(Scene(walls=(BACK_WALL,)), (AddScatterer(_person("back", 3.0)),))
+
+    def test_move_out_of_range_rejected(self):
+        scene = Scene(scatterers=(_person("a", 2.0),))
+        with pytest.raises(ValueError, match=r"^scatterer 'a': range_m must be > 0, got -1\.0$"):
+            apply_mutations(scene, (MoveScatterer("a", -1.0),))
 
     def test_move_of_unknown_id_rejected(self):
         with pytest.raises(ValueError, match="no scatterer with id 'ghost' to move"):
@@ -134,15 +143,15 @@ class TestStepIsolation:
 class TestPipelineValidation:
     def test_unknown_stage(self):
         with pytest.raises(ValueError, match="unknown pipeline stage 'fft'"):
-            run_scenario(_scenario([], pipeline=("profile", "fft")))
+            _scenario([], pipeline=("profile", "fft"))
 
     def test_profile_stage_is_prerequisite(self):
         with pytest.raises(ValueError, match="'profile' stage"):
-            run_scenario(_scenario([], pipeline=("rrm",), baseline_hint_m=6.0))
+            _scenario([], pipeline=("rrm",), baseline_hint_m=6.0)
 
     def test_classify_needs_rrm(self):
         with pytest.raises(ValueError, match="'classify' requires"):
-            run_scenario(_scenario([], pipeline=("profile", "classify")))
+            _scenario([], pipeline=("profile", "classify"))
 
     def test_an_absent_hint_anchors_on_the_strongest_baseline_peak(self):
         pipeline = ("profile", "rrm", "throughwall")
@@ -156,17 +165,13 @@ class TestPipelineValidation:
 
     def test_throughwall_needs_a_zone(self):
         with pytest.raises(ValueError, match="monitor zone"):
-            run_scenario(
-                _scenario([], pipeline=("profile", "throughwall"), baseline_hint_m=6.0)
-            )
+            _scenario([], pipeline=("profile", "throughwall"), baseline_hint_m=6.0)
 
     def test_safety_needs_classify_or_throughwall(self):
         # Without either, the safety log would read Normal with a person in front.
         message = "'safety' requires the 'classify' or 'throughwall' stage"
         with pytest.raises(ValueError, match=message):
-            run_scenario(
-                _scenario([], pipeline=("profile", "rrm", "safety"), baseline_hint_m=6.0)
-            )
+            _scenario([], pipeline=("profile", "rrm", "safety"), baseline_hint_m=6.0)
 
 
 class TestRunScenario:

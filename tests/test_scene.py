@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from wallsense import (
@@ -8,7 +10,6 @@ from wallsense import (
     Scatterer,
     Scene,
     Wall,
-    validate_scene,
 )
 from wallsense.scene import _amplitude
 
@@ -22,137 +23,155 @@ INF = float("inf")
 
 
 class TestValidateScene:
+    """A Scatterer or Wall checks itself when built, then the Scene that holds it."""
+
     def test_empty_scene_is_valid(self):
-        assert validate_scene(Scene()) is None
+        assert Scene().reflectors() == ()
 
     def test_typical_scene_is_valid(self):
-        scene = Scene(
+        Scene(
             scatterers=(Scatterer("person", 2.0, HUMAN_BODY),),
             walls=(Wall("back", 6.0, LAB_WALL),),
         )
-        assert validate_scene(scene) is None
 
     def test_scatterer_beyond_max_range_is_out_of_bounds(self):
-        scene = Scene(scatterers=(_scatterer("far", 9.0),), max_range_m=8.0)
         with pytest.raises(ValueError, match="out of bounds"):
-            validate_scene(scene)
+            Scene(scatterers=(_scatterer("far", 9.0),), max_range_m=8.0)
+
+    @pytest.mark.parametrize("cls", [Scatterer, Wall])
+    def test_reflector_at_exactly_max_range_is_out_of_bounds(self, cls):
+        kind = cls.__name__.lower()
+        message = rf"^{kind} 'r' at 8\.0 m is out of bounds \(max_range_m 8\.0\)$"
+        with pytest.raises(ValueError, match=message):
+            Scene(**{f"{kind}s": (cls("r", 8.0, PLASTERBOARD),)}, max_range_m=8.0)
+
+    @pytest.mark.parametrize("cls", [Scatterer, Wall])
+    def test_reflector_just_inside_max_range_is_valid(self, cls):
+        ref = cls("r", math.nextafter(8.0, 0), PLASTERBOARD)
+        Scene(**{f"{cls.__name__.lower()}s": (ref,)}, max_range_m=8.0)
+
+    def test_zero_max_range_is_flagged(self):
+        with pytest.raises(ValueError, match=r"^scene\.max_range_m must be > 0, got 0\.0$"):
+            Scene(max_range_m=0.0)
 
     def test_duplicate_wall_range_is_flagged(self):
-        scene = Scene(
-            walls=(Wall("w1", 0.1, PLASTERBOARD), Wall("w2", 0.1, PLASTERBOARD)),
-        )
         with pytest.raises(ValueError, match="duplicate wall range"):
-            validate_scene(scene)
+            Scene(walls=(Wall("w1", 0.1, PLASTERBOARD), Wall("w2", 0.1, PLASTERBOARD)))
 
     def test_unsorted_walls_are_flagged(self):
-        scene = Scene(
-            walls=(Wall("w1", 3.0, PLASTERBOARD), Wall("w2", 1.0, PLASTERBOARD)),
-        )
         with pytest.raises(ValueError, match="sorted"):
-            validate_scene(scene)
+            Scene(walls=(Wall("w1", 3.0, PLASTERBOARD), Wall("w2", 1.0, PLASTERBOARD)))
 
     def test_negative_reflectivity_is_flagged(self):
-        scene = Scene(scatterers=(_scatterer("bad", 1.0, reflectivity=-0.1),))
         with pytest.raises(ValueError, match="reflectivity"):
-            validate_scene(scene)
+            _scatterer("bad", 1.0, reflectivity=-0.1)
 
     def test_transmissivity_above_one_is_flagged(self):
-        scene = Scene(scatterers=(_scatterer("bad", 1.0, transmissivity=1.5),))
         with pytest.raises(ValueError, match="transmissivity"):
-            validate_scene(scene)
+            _scatterer("bad", 1.0, transmissivity=1.5)
+
+    @pytest.mark.parametrize(
+        "reflectivity, transmissivity", [(0.0, 0.5), (1.0, 0.0), (1.0, 1.0)]
+    )
+    def test_material_bounds_are_valid(self, reflectivity, transmissivity):
+        Scene(scatterers=(_scatterer("s", 1.0, reflectivity, transmissivity),))
 
     def test_nonpositive_range_is_flagged(self):
-        scene = Scene(scatterers=(_scatterer("zero", 0.0),))
         with pytest.raises(ValueError, match="range_m"):
-            validate_scene(scene)
+            _scatterer("zero", 0.0)
 
     def test_duplicate_ids_are_flagged(self):
-        scene = Scene(scatterers=(_scatterer("x", 1.0), _scatterer("x", 2.0)))
         with pytest.raises(ValueError, match="duplicate reflector id"):
-            validate_scene(scene)
+            Scene(scatterers=(_scatterer("x", 1.0), _scatterer("x", 2.0)))
 
     def test_duplicate_ids_are_listed_in_sorted_order(self):
         # Reflector order is walls first: 'b' is seen before 'a'.
-        scene = Scene(
-            walls=(Wall("b", 0.5, PLASTERBOARD),),
-            scatterers=(_scatterer("b", 1.0), _scatterer("a", 2.0), _scatterer("a", 3.0)),
-        )
         with pytest.raises(ValueError) as exc:
-            validate_scene(scene)
+            Scene(
+                walls=(Wall("b", 0.5, PLASTERBOARD),),
+                scatterers=(_scatterer("b", 1.0), _scatterer("a", 2.0), _scatterer("a", 3.0)),
+            )
         assert str(exc.value) == "duplicate reflector id 'a'; duplicate reflector id 'b'"
 
     def test_raise_if_invalid(self):
-        # Every violation is reported, in one message joined by "; ".
-        scene = Scene(
-            scatterers=(_scatterer("far", 9.0), _scatterer("bad", 1.0, reflectivity=-0.1)),
-            max_range_m=8.0,
-        )
+        # Every violation that spans records is reported, in one message joined by "; ".
         with pytest.raises(ValueError) as exc:
-            validate_scene(scene)
+            Scene(
+                scatterers=(_scatterer("far", 9.0),),
+                walls=(Wall("w2", 3.0, PLASTERBOARD), Wall("w1", 1.0, PLASTERBOARD)),
+                max_range_m=8.0,
+            )
         assert str(exc.value) == (
             "scatterer 'far' at 9.0 m is out of bounds (max_range_m 8.0); "
+            "walls not sorted by range ascending"
+        )
+
+    def test_one_record_reports_all_of_its_problems(self):
+        with pytest.raises(ValueError) as exc:
+            _scatterer("bad", 0.0, reflectivity=-0.1)
+        assert str(exc.value) == (
+            "scatterer 'bad': range_m must be > 0, got 0.0; "
             "scatterer 'bad': material.reflectivity must be finite and >= 0, got -0.1"
         )
 
     def test_nan_scatterer_range_is_flagged(self):
-        scene = Scene(scatterers=(_scatterer("s", NAN),))
         with pytest.raises(ValueError, match=r"^scatterer 's': range_m must be > 0, got nan$"):
-            validate_scene(scene)
+            _scatterer("s", NAN)
 
     def test_nan_wall_range_is_flagged(self):
-        scene = Scene(walls=(Wall("w", NAN, PLASTERBOARD),))
-        with pytest.raises(ValueError, match=r"^wall 'w': range_m must be > 0, got nan"):
-            validate_scene(scene)
+        with pytest.raises(ValueError, match=r"^wall 'w': range_m must be > 0, got nan$"):
+            Wall("w", NAN, PLASTERBOARD)
 
     @pytest.mark.parametrize("value", [1e-200, 5e-324])
     def test_range_whose_spreading_gain_overflows_is_flagged(self, value):
-        scene = Scene(
-            scatterers=(_scatterer("s", value),), walls=(Wall("w", value, PLASTERBOARD),)
-        )
         gain = rf"range_m {value} is too small, its spreading gain overflows"
-        with pytest.raises(ValueError, match=rf"^scatterer 's': {gain}; wall 'w': {gain}$"):
-            validate_scene(scene)
+        with pytest.raises(ValueError, match=rf"^scatterer 's': {gain}$"):
+            _scatterer("s", value)
+
+    @pytest.mark.parametrize("value", [1e-200, 5e-324])
+    def test_wall_range_whose_spreading_gain_overflows_is_flagged(self, value):
+        gain = rf"range_m {value} is too small, its spreading gain overflows"
+        with pytest.raises(ValueError, match=rf"^wall 'w': {gain}$"):
+            Wall("w", value, PLASTERBOARD)
 
     def test_smallest_ranges_with_a_finite_gain_are_valid(self):
-        validate_scene(Scene(scatterers=(_scatterer("s", 1e-154),)))
+        Scene(scatterers=(_scatterer("s", 1e-154),))
 
     def test_nan_max_range_is_flagged(self):
         with pytest.raises(ValueError, match=r"^scene\.max_range_m must be > 0, got nan$"):
-            validate_scene(Scene(max_range_m=NAN))
+            Scene(max_range_m=NAN)
 
     def test_nan_noise_amplitude_is_flagged(self):
         with pytest.raises(
             ValueError, match=r"^scene\.noise_amplitude must be finite and >= 0, got nan$"
         ):
-            validate_scene(Scene(noise_amplitude=NAN))
+            Scene(noise_amplitude=NAN)
 
     @pytest.mark.parametrize("value", [INF, -INF])
     def test_infinite_noise_amplitude_is_flagged(self, value):
         with pytest.raises(
             ValueError, match=rf"^scene\.noise_amplitude must be finite and >= 0, got {value}$"
         ):
-            validate_scene(Scene(noise_amplitude=value))
+            Scene(noise_amplitude=value)
 
     def test_negative_rng_seed_is_flagged(self):
         with pytest.raises(ValueError, match=r"^scene\.rng_seed must be >= 0, got -1$"):
-            validate_scene(Scene(noise_amplitude=1e-3, rng_seed=-1))
+            Scene(noise_amplitude=1e-3, rng_seed=-1)
 
     def test_nan_reflectivity_is_flagged(self):
-        scene = Scene(scatterers=(_scatterer("s", 1.0, reflectivity=NAN),))
         with pytest.raises(
             ValueError,
             match=r"^scatterer 's': material\.reflectivity must be finite and >= 0, got nan$",
         ):
-            validate_scene(scene)
+            _scatterer("s", 1.0, reflectivity=NAN)
 
     @pytest.mark.parametrize("value", [INF, -INF])
     def test_infinite_reflectivity_is_flagged(self, value):
-        scene = Scene(walls=(Wall("w", 1.0, Material("m", value, 0.0)),))
         with pytest.raises(
             ValueError,
             match=rf"^wall 'w': material\.reflectivity must be finite and >= 0, got {value}$",
         ):
-            validate_scene(scene)
+            Wall("w", 1.0, Material("m", value, 0.0))
 
 
 class TestEffectiveAmplitude:

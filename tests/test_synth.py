@@ -163,9 +163,9 @@ class TestSynthesizeBeat:
             synthesize_beat(Scene(), ChirpConfig(bandwidth_hz=1e-200))
 
     def test_invalid_scene_raises(self):
-        scene = Scene(scatterers=(Scatterer("bad", 9.0, Material("m", 0.5, 0.0)),))
+        # A scene checks itself when built, so an invalid one never reaches synthesis.
         with pytest.raises(ValueError, match="out of bounds"):
-            synthesize_beat(scene, DEFAULT_CHIRP)
+            Scene(scatterers=(Scatterer("bad", 9.0, Material("m", 0.5, 0.0)),))
 
     def test_negative_rng_seed_raises_naming_the_field(self):
         with pytest.raises(ValueError, match=r"^scene\.rng_seed must be >= 0, got -1$"):

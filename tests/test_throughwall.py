@@ -47,9 +47,14 @@ class TestMonitorZone:
         assert lo == pytest.approx(0.10 + 2 * SPACING)
         assert hi == pytest.approx(2.60 - 2 * SPACING)
 
+    def test_zero_guard_bins_watch_the_whole_zone(self):
+        assert MonitorZone(0.1, 2.6, guard_bins=0).monitored_interval(SPACING) == (0.1, 2.6)
+
     def test_validation(self):
         with pytest.raises(ValueError, match="near_m < far_m"):
             MonitorZone(2.0, 1.0)
+        with pytest.raises(ValueError, match="near_m < far_m"):
+            MonitorZone(1.0, 1.0)
         with pytest.raises(ValueError, match="near_m < far_m"):
             MonitorZone(0.0, 1.0)
         with pytest.raises(ValueError, match="excess_threshold"):
@@ -179,6 +184,20 @@ class TestTrackApproach:
         # motion must exceed one bin spacing per scan to count
         reports = [_report(i, 1.6 - 0.03 * i) for i in range(4)]
         assert track_approach(reports, ZONE).status is ApproachStatus.STATIC
+
+    @pytest.mark.parametrize(
+        "ranges, status",
+        [
+            ((1.0, 0.75, 0.5), ApproachStatus.STATIC),
+            ((0.5, 0.75, 1.0), ApproachStatus.STATIC),
+            ((1.5, 1.0, 0.5), ApproachStatus.APPROACHING),
+            ((0.5, 1.0, 1.5), ApproachStatus.RECEDING),
+        ],
+    )
+    def test_a_trend_needs_steps_beyond_one_bin(self, ranges, status):
+        # Binary-exact values: steps of exactly one 0.25 m bin, then of two.
+        reports = [_report(i, r, spacing=0.25) for i, r in enumerate(ranges)]
+        assert track_approach(reports, ZONE).status is status
 
     def test_trend_looks_at_last_three_samples_only(self):
         ranges = [1.6, 1.6, 2.2, 1.6, 1.0]
