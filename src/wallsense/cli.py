@@ -79,7 +79,7 @@ def _cmd_classify(args: argparse.Namespace) -> int:
     )
     if args.bands:
         scenario = replace(scenario, bands=load_bands(args.bands))
-    result = _run_scans(scenario, baseline, [cfg.scene])
+    result = _run_scans(scenario, baseline, [(cfg.scene, {})])
     print(_write(args.out, "classification.csv", classification_to_csv(result)))
     return 0
 
@@ -99,7 +99,7 @@ def _cmd_monitor(args: argparse.Namespace) -> int:
         cfg = _load_config(path, args.seed)
         if cfg.chirp != base_cfg.chirp:
             raise ValueError(f"{path}: chirp differs from the baseline chirp")
-        return cfg.scene
+        return cfg.scene, {}
 
     steps = tuple(ScenarioStep(path) for path in args.scene)
     scenario = scenario_from_config(base_cfg, "monitor", steps, ("profile", "throughwall"))

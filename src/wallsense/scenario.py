@@ -141,8 +141,9 @@ class RunResult:
     track: ApproachTrack | None
 
 
-def apply_mutations(scene: Scene, mutations: tuple[Mutation, ...]) -> Scene:
-    """Apply add/move/remove mutations, returning a new scene."""
+def apply_mutations(scene: Scene, mutations: tuple[Mutation, ...], **changes) -> Scene:
+    """Apply add/move/remove mutations, returning a new scene; changes
+    replaces other fields of scene in the same build."""
     scatterers = list(scene.scatterers)
     for m in mutations:
         if isinstance(m, AddScatterer):
@@ -159,7 +160,7 @@ def apply_mutations(scene: Scene, mutations: tuple[Mutation, ...]) -> Scene:
             del scatterers[hits[0]]
         else:
             raise ValueError(f"unknown mutation {m!r}")
-    return replace(scene, scatterers=tuple(scatterers))
+    return replace(scene, scatterers=tuple(scatterers), **changes)
 
 
 def _declared_target_range(step: ScenarioStep) -> float | None:
@@ -193,16 +194,19 @@ def run_scenario(scenario: Scenario) -> RunResult:
     # Fresh noise per scan, stable reflector phases across the whole run:
     # the room does not move between scans, the noise does.
     scans = (
-        replace(base, rng_seed=base.rng_seed + 1 + i, phase_seed=base.effective_phase_seed)
+        (base, {"rng_seed": base.rng_seed + 1 + i, "phase_seed": base.effective_phase_seed})
         for i in range(len(scenario.steps))
     )
     return _run_scans(scenario, baseline, scans)
 
 
 def _run_scans(
-    scenario: Scenario, baseline: Baseline | None, scans: Iterable[Scene]
+    scenario: Scenario, baseline: Baseline | None, scans: Iterable[tuple[Scene, dict]]
 ) -> RunResult:
-    """Apply each step's mutations to its scan and run the scenario's stages.
+    """Build each step's scene and run the scenario's stages on it.
+
+    Each scan is a scene and the field changes (new seeds, say) that go
+    into the same build as the step's mutations.
 
     A ValueError from a stage aborts the run with a ScenarioError naming the
     step index and name and the stage; errors raised while producing the
@@ -211,10 +215,10 @@ def _run_scans(
     pipeline = scenario.pipeline
     state = INITIAL_STATE
     results: list[StepResult] = []
-    for i, (step, scan) in enumerate(zip(scenario.steps, scans)):
+    for i, (step, (scan, changes)) in enumerate(zip(scenario.steps, scans)):
         stage = "profile"
         try:
-            scene = apply_mutations(scan, step.mutations)
+            scene = apply_mutations(scan, step.mutations, **changes)
             prof = range_profile(synthesize_beat(scene, scenario.chirp), Window.HANN)
 
             peaks: tuple[Peak, ...] = ()

@@ -108,7 +108,7 @@ class Scene:
         """Check the scalars and the rules that span reflectors.
 
         Raises one ValueError listing every problem, joined by "; ". NaN
-        fails every numeric check. run_scenario builds two scenes per step,
+        fails every numeric check. run_scenario builds one scene per step,
         so a valid scene builds no message.
         """
         v: list[str] = []

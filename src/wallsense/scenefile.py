@@ -210,7 +210,13 @@ def _mutation(node, path: str) -> Mutation:
     m = _expect_mapping(node, path)
     op = _string(m, "op", path)
     if op == "add":
-        return AddScatterer(_reflector(Scatterer, m.get("scatterer"), f"{path}.scatterer", "human"))
+        path += ".scatterer"
+        try:
+            return AddScatterer(_reflector(Scatterer, m.get("scatterer"), path, "human"))
+        except ValueError as exc:
+            if str(exc).startswith(path):  # a parse error names its key already
+                raise
+            raise ValueError(f"{path}: {exc}") from None
     if op == "move":
         return MoveScatterer(_string(m, "id", path), _number(m, "range_m", path))
     if op == "remove":

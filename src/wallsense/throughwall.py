@@ -139,15 +139,27 @@ def _trend_status(ranges: Sequence[float], spacing: float) -> ApproachStatus:
     return ApproachStatus.STATIC
 
 
+# The last successful call's reports and their ranges, read and rebound once per call.
+_last: tuple[tuple[OccupancyReport, ...], tuple[float, ...]] = ((), ())
+
+
 def track_approach(reports: Sequence[OccupancyReport], zone: MonitorZone) -> ApproachTrack:
     """Summarize motion from an ordered run of occupancy reports.
 
     The strongest detection per occupied scan gives one range sample, and
-    the trend rule compares them in the first report's bin spacing.
+    the trend rule compares them in the first report's bin spacing. A call on
+    the last call's list, grown, reads only the new reports; any other input
+    is read in full.
     """
-    indices = [r.scan_index for r in reports]
+    global _last
+    seen, ranges = _last
+    n = len(seen)
+    if not (0 < n <= len(reports) and reports[0] is seen[0] and tuple(reports[:n]) == seen):
+        n, ranges = 0, ()
+    indices = [r.scan_index for r in reports[max(n - 1, 0) :]]
     if indices != sorted(indices):
         raise ValueError("reports must be ordered by scan_index")
-    ranges = [r.strongest().range_m for r in reports if r.occupied]
+    ranges += tuple([r.strongest().range_m for r in reports[n:] if r.occupied])
+    _last = (tuple(reports), ranges)
     spacing = reports[0].bin_spacing_m if reports else 0.0
-    return ApproachTrack(_trend_status(ranges, spacing), tuple(ranges))
+    return ApproachTrack(_trend_status(ranges, spacing), ranges)

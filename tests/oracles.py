@@ -4,14 +4,18 @@ import numpy as np
 
 from wallsense import (
     REFERENCE_RANGE_M,
+    ApproachTrack,
     BeatSignal,
     ChirpConfig,
+    MonitorZone,
+    OccupancyReport,
     Peak,
     RangeProfile,
     Scene,
     beat_frequency,
     reflector_phase,
 )
+from wallsense.throughwall import _trend_status
 
 
 def naive_spectrum(beat: BeatSignal) -> RangeProfile:
@@ -106,3 +110,13 @@ def loop_find_peaks_in_series(
         if height >= min_rsa and prom >= min_prominence:
             peaks.append(Peak(float(ranges_m[idx]), height, prom, idx + bin_offset))
     return peaks
+
+
+def batch_track_approach(reports: list[OccupancyReport], zone: MonitorZone) -> ApproachTrack:
+    """track_approach with no memo: every call reads every report."""
+    indices = [r.scan_index for r in reports]
+    if indices != sorted(indices):
+        raise ValueError("reports must be ordered by scan_index")
+    ranges = [r.strongest().range_m for r in reports if r.occupied]
+    spacing = reports[0].bin_spacing_m if reports else 0.0
+    return ApproachTrack(_trend_status(ranges, spacing), tuple(ranges))

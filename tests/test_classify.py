@@ -19,6 +19,7 @@ from wallsense import (
     Scene,
     TargetClass,
     Wall,
+    bin_spacing_m,
     calibrate_bands,
     capture_baseline,
     classify,
@@ -28,6 +29,7 @@ from wallsense import (
     synthesize_beat,
 )
 
+SPACING = bin_spacing_m(DEFAULT_CHIRP)
 I = TargetClass.INFRASTRUCTURE
 H = TargetClass.HUMAN
 M = TargetClass.METALLIC
@@ -61,13 +63,21 @@ class TestCaptureBaseline:
         with pytest.raises(ValueError, match="reference feature not found within 3 bins of 3.0 m"):
             capture_baseline([_wall_profile()], 3.0)
 
-    @pytest.mark.parametrize("hint", [1e300, 1e308, 37.7, -0.3, -1e308])
+    @pytest.mark.parametrize("hint", [1e300, 1e308, 37.7, -0.3, -1e308, -4 * SPACING])
     def test_hint_outside_the_profile_is_named(self, hint):
         # 500 bins of 0.0749 m: no bin lies within 3 of bin 503 or of bin -4.
         message = (
             f"feature_range_hint_m {hint} m is more than 3 bins outside the profile, "
             "which spans 0 to 37.4741 m"
         )
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            capture_baseline([_wall_profile()], hint)
+
+    @pytest.mark.parametrize("hint_bin", [-3, 502])
+    def test_hint_three_bins_outside_the_profile_is_searched(self, hint_bin):
+        # Bin -3 or 502 passes the range check; no peak lies within 3 bins of it.
+        hint = hint_bin * SPACING
+        message = f"reference feature not found within 3 bins of {hint} m"
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             capture_baseline([_wall_profile()], hint)
 
@@ -236,6 +246,17 @@ class TestCalibrateBands:
         with pytest.raises(ValueError, match="not separable"):
             calibrate_bands([(1.0, I), (5.0, H), (4.0, M)])
 
+    @pytest.mark.parametrize(
+        "rows, message",
+        [
+            ([(1.2, I), (1.2, H), (3.0, H)], "max(Infrastructure) = 1.2 >= min(Human) = 1.2"),
+            ([(1.5, H), (4.0, H), (4.0, M)], "max(Human) = 4.0 >= min(Metallic) = 4.0"),
+        ],
+    )
+    def test_touching_ranges_rejected(self, rows, message):
+        with pytest.raises(ValueError, match=re.escape(f"not separable: {message}")):
+            calibrate_bands(rows)
+
     def test_infrastructure_and_metallic_only_rejected(self):
         with pytest.raises(ValueError, match="no Human samples"):
             calibrate_bands([(1.0, I), (9.0, M)])
@@ -254,6 +275,10 @@ class TestCalibrateBands:
     def test_anchor_conflicts_with_sub_unity_human(self):
         with pytest.raises(ValueError, match="anchor"):
             calibrate_bands([(0.9, H), (8.0, M)])
+
+    def test_anchor_conflicts_with_a_human_sample_of_exactly_one(self):
+        with pytest.raises(ValueError, match="anchor"):
+            calibrate_bands([(1.0, H), (8.0, M)])
 
     def test_rejects_nonpositive_samples(self):
         with pytest.raises(ValueError, match="must be > 0"):

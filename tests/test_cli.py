@@ -413,6 +413,33 @@ class TestScenario:
         assert main(["scenario", "--scene", path, "--out", str(out)]) == 0
         assert (out / "profile_00_only.csv").exists()
 
+    @pytest.mark.parametrize(
+        "range_m, message",
+        [
+            # The scatterer's own check names the mutation it came from.
+            (-1.0, "scenario.steps[1].mutations[0].scatterer: "
+                   "scatterer 'p': range_m must be > 0, got -1.0"),
+            # A parse error names its key, once.
+            ("far", "scenario.steps[1].mutations[0].scatterer.range_m: "
+                    "expected a number, got 'far'"),
+        ],
+    )
+    def test_bad_added_scatterer_exits_1_naming_its_step(self, tmp_path, capsys, range_m, message):
+        add = {"op": "add", "scatterer": {"id": "p", "range_m": range_m}}
+        doc = {
+            "scene": {"walls": [{"id": "w", "range_m": 6.0, "material": "lab_wall"}]},
+            "scenario": {
+                "name": "bad add",
+                "pipeline": ["profile"],
+                "steps": [{"name": "fine"}, {"name": "a", "mutations": [add]}],
+            },
+        }
+        path = _write_doc(tmp_path, "scenario.json", doc)
+        assert main(["scenario", "--scene", path, "--out", str(tmp_path / "o")]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
     def test_negative_seed_flag_exits_1_naming_the_field(self, tmp_path, capsys):
         code = main(["scenario", "--name", "human_sweep", "--seed", "-5", "--out", str(tmp_path / "o")])
         assert code == 1

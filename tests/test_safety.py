@@ -163,6 +163,8 @@ class TestTierConfigValidation:
         with pytest.raises(ValueError, match="stop_range_m < slow_range_m"):
             TierConfig(stop_range_m=3.0, slow_range_m=1.0)
         with pytest.raises(ValueError, match="stop_range_m < slow_range_m"):
+            TierConfig(stop_range_m=2.0, slow_range_m=2.0)
+        with pytest.raises(ValueError, match="stop_range_m < slow_range_m"):
             TierConfig(stop_range_m=0.0)
 
     def test_cap_must_be_a_real_limit(self):

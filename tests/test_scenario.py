@@ -3,6 +3,7 @@ import io
 import math
 from dataclasses import replace
 from types import SimpleNamespace
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -37,6 +38,8 @@ from wallsense import (
     write_run_result,
 )
 from wallsense.scenario import monitor_to_csv
+
+from oracles import batch_track_approach
 
 BACK_WALL = Wall("back", 6.0, LAB_WALL)
 
@@ -124,6 +127,18 @@ class TestStepIsolation:
         assert [s.scene.rng_seed for s in result.steps] == [8, 9, 10]
         # reflector phases stay pinned to the base scene across all steps
         assert all(s.scene.phase_seed == 7 for s in result.steps)
+
+    def test_each_step_builds_its_scene_once(self):
+        # The reseed and the mutations go into one Scene, checked once.
+        steps = [ScenarioStep("added", (AddScatterer(_person("a", 2.0)),)), ScenarioStep("bare")]
+        scenario = _scenario(steps)
+        built = []
+        check = Scene.__post_init__
+        with mock.patch.object(
+            Scene, "__post_init__", autospec=True, side_effect=lambda s: (built.append(s), check(s))
+        ):
+            result = run_scenario(scenario)
+        assert [id(scene) for scene in built] == [id(step.scene) for step in result.steps]
 
     def test_true_range_tracks_the_last_placing_mutation(self):
         base = Scene(scatterers=(_person("a", 2.0),), walls=(BACK_WALL,))
@@ -378,8 +393,8 @@ class TestWriters:
 
 
 def _prefix_statuses(reports, zone):
-    """Oracle: the running status as first defined, track_approach over every prefix."""
-    return [track_approach(reports[: k + 1], zone).status.value for k in range(len(reports))]
+    """Oracle: the running status as first defined, the batch track over every prefix."""
+    return [batch_track_approach(reports[: k + 1], zone).status.value for k in range(len(reports))]
 
 
 def _csv_statuses(result):

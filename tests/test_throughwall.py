@@ -1,7 +1,14 @@
+import dataclasses
 import math
 import re
+import sys
+import threading
+from unittest import mock
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from wallsense import (
     DEFAULT_CHIRP,
@@ -9,18 +16,24 @@ from wallsense import (
     PLASTERBOARD,
     SHEET_METAL,
     ApproachStatus,
+    Baseline,
     MonitorZone,
     OccupancyReport,
     Peak,
+    RangeProfile,
     Scatterer,
     Scene,
     Wall,
     capture_baseline,
     detect_occupancy,
     range_profile,
+    builtin_scenario,
+    run_scenario,
     synthesize_beat,
     track_approach,
 )
+
+from oracles import batch_track_approach
 
 WALLS = (Wall("near", 0.10, PLASTERBOARD), Wall("far", 2.60, PLASTERBOARD))
 ZONE = MonitorZone(0.10, 2.60)
@@ -34,6 +47,17 @@ def _profile(scatterers=(), seed=0):
 
 def _baseline():
     return capture_baseline([_profile()], 2.60)
+
+
+def _spike_profile(*bins):
+    rsa = np.zeros(DEFAULT_CHIRP.n_samples // 2)
+    rsa[list(bins)] = 1.0
+    return RangeProfile(rsa, DEFAULT_CHIRP)
+
+
+# An empty baseline: every scan bin is its own excess.
+FLAT = Baseline(_spike_profile(), Peak(1.0, 1.0, 1.0, 13))
+RANGES = FLAT.profile.ranges_m
 
 
 def _report(scan_index, range_m=None, spacing=SPACING):
@@ -144,6 +168,24 @@ class TestDetectOccupancy:
         tiny = MonitorZone(1.0, 1.2)
         with pytest.raises(ValueError, match="guard bins consume"):
             detect_occupancy(_baseline(), _profile(), tiny)
+
+    def test_an_empty_guarded_interval_raises(self):
+        # Bins 10 and 12 shaved by one bin each meet exactly at bin 11.
+        zone = MonitorZone(float(RANGES[10]), float(RANGES[12]), guard_bins=1)
+        lo, hi = zone.monitored_interval(SPACING)
+        assert lo == hi
+        with pytest.raises(ValueError, match="^guard bins consume the whole zone"):
+            detect_occupancy(FLAT, _spike_profile(11), zone)
+
+    @pytest.mark.parametrize(
+        "spike, occupied", [(21, False), (22, True), (38, True), (39, False)]
+    )
+    def test_bins_on_the_interval_edges_lie_outside_it(self, spike, occupied):
+        # The interval is exactly (bin 20, bin 40), so the series runs from
+        # bin 21 to bin 39 and a spike on either end bin is no peak.
+        zone = MonitorZone(float(RANGES[20]), float(RANGES[40]), guard_bins=0)
+        assert zone.monitored_interval(SPACING) == (RANGES[20], RANGES[40])
+        assert detect_occupancy(FLAT, _spike_profile(spike), zone).occupied is occupied
 
     @pytest.mark.parametrize("guard_bins", [35, 10**308, 10**400], ids=["35", "1e308", "1e400"])
     def test_guard_bins_filling_the_zone_are_named(self, guard_bins):
@@ -258,3 +300,139 @@ class TestTrackApproach:
             if track_approach(reports, ZONE).status is ApproachStatus.APPROACHING:
                 hits += 1
         assert hits >= 95
+
+
+def _outcome(fn, reports):
+    """fn's result on reports, or the message of the ValueError it raised."""
+    try:
+        return fn(reports, ZONE)
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+# (occupied, range_m, scan_index step, bin spacing) of one generated report.
+_SPEC = st.tuples(
+    st.booleans(), st.floats(0.1, 8.0), st.integers(0, 2), st.sampled_from([SPACING, 0.25])
+)
+_OPS = st.lists(
+    st.one_of(
+        st.tuples(st.just("append"), _SPEC),
+        st.tuples(st.just("copy"), st.integers(0, 40)),
+        st.tuples(st.just("swap"), st.integers(0, 40), _SPEC),
+        st.tuples(st.just("truncate"), st.integers(0, 40)),
+        st.tuples(st.just("switch")),
+        st.tuples(st.just("tuple")),
+        st.tuples(st.just("disorder"), _SPEC),
+        st.tuples(st.just("replay")),
+    ),
+    max_size=40,
+)
+
+
+def _spec_report(spec, after):
+    occupied, range_m, step, spacing = spec
+    index = (after.scan_index if after is not None else 0) + step
+    return _report(index, range_m if occupied else None, spacing)
+
+
+class TestTrackApproachMemo:
+    """track_approach remembers its last call; the batch oracle remembers nothing.
+
+    The memo is never reset here: examples run one after another through
+    the one process-wide track_approach, as a long-lived caller would.
+    """
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(_OPS)
+    @example([("truncate", 0)])  # the empty list
+    @example([("append", (True, 1.6, 0, SPACING))])  # one report
+    @example([("replay",), ("append", (True, 0.4, 1, 0.25))])  # right after a replay
+    def test_every_call_matches_the_batch_oracle(self, ops):
+        lists, cur = [[], []], 0
+        for op, *args in ops:
+            reports = lists[cur]
+            if op == "append":
+                reports.append(_spec_report(args[0], reports[-1] if reports else None))
+            elif op == "copy" and reports:
+                k = args[0] % len(reports)
+                reports[k] = dataclasses.replace(reports[k])  # equal, not identical
+            elif op == "swap" and reports:
+                k = args[0] % len(reports)
+                reports[k] = _spec_report(args[1], reports[k - 1] if k else None)
+            elif op == "truncate":
+                del reports[args[0]:]
+            elif op == "switch":
+                cur = 1 - cur
+                reports = lists[cur]
+            elif op == "tuple":
+                reports = tuple(reports)
+            elif op == "disorder" and reports:
+                late = _spec_report(args[0], reports[-1])
+                reports.append(dataclasses.replace(late, scan_index=reports[-1].scan_index - 1))
+                message = "ValueError: reports must be ordered by scan_index"
+                assert _outcome(track_approach, reports) == message
+                assert _outcome(batch_track_approach, reports) == message
+                reports.pop()
+            elif op == "replay":
+                result = run_scenario(builtin_scenario("copper_traverse"))
+                assert result.track == batch_track_approach(
+                    [step.occupancy for step in result.steps], ZONE
+                )
+                lists[cur] = reports = [step.occupancy for step in result.steps]
+            assert _outcome(track_approach, reports) == _outcome(batch_track_approach, reports)
+
+    def test_a_grown_list_reads_only_its_new_reports(self):
+        reports = [_report(i, 2.0 - 0.1 * i) for i in range(10)]
+        track_approach(reports, ZONE)
+        reports.append(_report(10, 0.9))
+        with mock.patch.object(
+            OccupancyReport, "strongest", autospec=True, side_effect=OccupancyReport.strongest
+        ) as strongest:
+            track = track_approach(reports, ZONE)
+        assert strongest.call_count == 1
+        assert track == batch_track_approach(reports, ZONE)
+
+    def test_a_raising_call_leaves_the_memo_as_it_was(self):
+        reports = [_report(i, 2.0 - 0.2 * i) for i in range(5)]
+        track_approach(reports, ZONE)
+        with pytest.raises(ValueError, match="^reports must be ordered by scan_index$"):
+            track_approach(reports + [_report(3, 1.0)], ZONE)
+        reports.append(_report(5, 1.0))
+        with mock.patch.object(
+            OccupancyReport, "strongest", autospec=True, side_effect=OccupancyReport.strongest
+        ) as strongest:
+            track = track_approach(reports, ZONE)
+        assert strongest.call_count == 1
+        assert track == batch_track_approach(reports, ZONE)
+
+    def test_threads_growing_their_own_lists_get_the_oracle_results(self):
+        # More threads than cores, switching often, so each thread's calls
+        # interleave with the others' reads and rebindings of the memo.
+        histories = [
+            [_report(i, 0.5 + 0.1 * ((i * (n + 3)) % 17) if i % 3 else None) for i in range(60)]
+            for n in range(6)
+        ]
+        expected = [
+            [batch_track_approach(h[: k + 1], ZONE) for k in range(len(h))] for h in histories
+        ]
+        mismatches = []
+
+        def work(n):
+            reports = []
+            for k, report in enumerate(histories[n]):
+                reports.append(report)
+                if track_approach(reports, ZONE) != expected[n][k]:
+                    mismatches.append((n, k))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(n,)) for n in range(len(histories))]
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join(timeout=60)
+            assert not any(th.is_alive() for th in threads)
+            assert mismatches == []
+        finally:
+            sys.setswitchinterval(interval)
