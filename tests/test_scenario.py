@@ -34,7 +34,6 @@ from wallsense import (
     builtin_scenario,
     run_scenario,
     summary_to_csv,
-    track_approach,
     write_run_result,
 )
 from wallsense.scenario import monitor_to_csv
