@@ -6,6 +6,13 @@ standard error; data goes to files or standard output.
 
 from __future__ import annotations
 
+import os
+
+# wallsense makes no BLAS call, so the CLI spares each start the OpenBLAS
+# thread pool that numpy would spawn at import. A value already set wins.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+os.environ.setdefault("OMP_NUM_THREADS", "1")
+
 import argparse
 import json
 import sys

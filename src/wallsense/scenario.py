@@ -143,7 +143,10 @@ class RunResult:
 
 def apply_mutations(scene: Scene, mutations: tuple[Mutation, ...], **changes) -> Scene:
     """Apply add/move/remove mutations, returning a new scene; changes
-    replaces other fields of scene in the same build."""
+    replaces other fields of scene in the same build. With neither, scene
+    itself comes back unbuilt."""
+    if not mutations and not changes:
+        return scene
     scatterers = list(scene.scatterers)
     for m in mutations:
         if isinstance(m, AddScatterer):

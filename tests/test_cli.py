@@ -5,11 +5,12 @@ import shutil
 import subprocess
 import sys
 import types
+from unittest import mock
 
 import pytest
 
 import wallsense
-from wallsense import cli
+from wallsense import Scene, cli
 from wallsense.cli import main
 
 EMPTY_ROOM = {
@@ -298,6 +299,20 @@ class TestMonitor:
         assert (first, occupied, status) == ("1", "True", "Static")
         assert abs(float(range_m) - 1.6) < 0.08
         assert float(excess) > 0.01
+
+    def test_each_document_builds_its_scene_once(self, tmp_path):
+        # One baseline and three scans: a scan with no mutation is run as parsed.
+        base = _write_doc(tmp_path, "base.json", PARTITION)
+        scan = _write_doc(tmp_path, "scan.json", SHEET_BEHIND_PARTITION)
+        built = []
+        check = Scene.__post_init__
+        with mock.patch.object(
+            Scene, "__post_init__", autospec=True, side_effect=lambda s: (built.append(s), check(s))
+        ):
+            code = main(["monitor", "--baseline", base, *["--scene", scan] * 3,
+                         "--out", str(tmp_path / "o")])
+        assert code == 0
+        assert len(built) == 4
 
     def test_hintless_baseline_needs_no_peak_at_the_zone_edge(self, tmp_path):
         # The zone ends at 2.3 m, where the empty corridor has no peak; the
