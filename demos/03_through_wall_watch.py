@@ -13,47 +13,61 @@ from wallsense import (
     DEFAULT_CHIRP,
     PLASTERBOARD,
     SHEET_METAL,
+    AddScatterer,
     MonitorZone,
     Scatterer,
+    Scenario,
+    ScenarioStep,
     Scene,
     Wall,
     capture_baseline,
-    detect_occupancy,
     range_profile,
+    scan_steps,
     synthesize_beat,
-    track_approach,
 )
 
-WALLS = (Wall("partition", 0.10, PLASTERBOARD), Wall("far_wall", 2.60, PLASTERBOARD))
+CORRIDOR = Scene(
+    walls=(Wall("partition", 0.10, PLASTERBOARD), Wall("far_wall", 2.60, PLASTERBOARD)),
+    phase_seed=5,
+)
 ZONE = MonitorZone(near_m=0.10, far_m=2.60, excess_threshold=0.01)
 
 
-def corridor_scan(scatterers=(), seed=0):
-    scene = Scene(scatterers=scatterers, walls=WALLS, rng_seed=seed, phase_seed=5)
-    return range_profile(synthesize_beat(scene, DEFAULT_CHIRP))
-
-
 def main():
-    baseline = capture_baseline([corridor_scan()], feature_range_hint_m=2.60)
+    empty = range_profile(synthesize_beat(CORRIDOR, DEFAULT_CHIRP))
+    baseline = capture_baseline([empty], feature_range_hint_m=2.60)
     print(f"baseline anchored on the far wall at "
           f"{baseline.reference_feature.range_m:.2f} m")
     print()
     print("  scan  occupied  range_m  excess_rsa  running status")
 
-    reports = []
     positions = [None, 2.2, 1.6, 1.0, 0.4, None]
-    for i, pos in enumerate(positions):
-        scatterers = () if pos is None else (Scatterer("sheet", pos, SHEET_METAL),)
-        report = detect_occupancy(baseline, corridor_scan(scatterers, seed=i), ZONE, i)
-        reports.append(report)
-        status = track_approach(reports, ZONE).status.value
+    watch = Scenario(
+        name="corridor_watch",
+        base_scene=CORRIDOR,
+        steps=tuple(
+            ScenarioStep(f"scan_{i}", () if pos is None else (
+                AddScatterer(Scatterer("sheet", pos, SHEET_METAL)),
+            ))
+            for i, pos in enumerate(positions)
+        ),
+        pipeline=("profile", "throughwall"),
+        zone=ZONE,
+    )
+    # A robot would pass its scans as they arrive; here each is the
+    # corridor with its own noise seed. Each step comes out before the
+    # next scan is read.
+    scans = ((CORRIDOR, {"rng_seed": i}) for i in range(len(positions)))
+    for step in scan_steps(watch, baseline, scans):
+        report = step.occupancy
         strongest = report.strongest()
         where = "      -" if strongest is None else f"{strongest.range_m:7.3f}"
         excess = "         -" if strongest is None else f"{strongest.rsa:10.4f}"
-        print(f"  {i:4d}  {str(report.occupied):<8}  {where}  {excess}  {status}")
+        print(f"  {step.index:4d}  {str(report.occupied):<8}  {where}  {excess}  "
+              f"{step.approach.value}")
 
     print()
-    print("verdict:", track_approach(reports, ZONE).status.value)
+    print("verdict:", step.approach.value)
     print("the sheet never appears in front of the partition, yet each scan")
     print("localizes it through the wall to within one range bin")
 

@@ -31,7 +31,7 @@ _HOME = {
         " update_door_policy update_tier",
         "scenario": "BUILTIN_SCENARIOS AddScatterer MoveScatterer RemoveScatterer RunResult"
         " Scenario ScenarioError ScenarioStep StepResult apply_mutations builtin_scenario"
-        " run_scenario summary_to_csv write_run_result",
+        " run_scenario scan_steps summary_to_csv write_run_result",
         "scenefile": "SceneConfig bands_from_mapping bands_to_json load_bands"
         " load_scenario_file load_scene_config parse_labeled_rrm_csv parse_scenario"
         " parse_scene_config scenario_from_config",

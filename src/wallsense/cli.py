@@ -27,12 +27,12 @@ from .scenario import (
     BUILTIN_SCENARIOS,
     ScenarioStep,
     _empty_room_baseline,
-    _run_scans,
     _write,
     builtin_scenario,
     classification_to_csv,
     monitor_to_csv,
     run_scenario,
+    scan_steps,
     write_run_result,
 )
 from .scenefile import (
@@ -86,8 +86,8 @@ def _cmd_classify(args: argparse.Namespace) -> int:
     )
     if args.bands:
         scenario = replace(scenario, bands=load_bands(args.bands))
-    result = _run_scans(scenario, baseline, [(cfg.scene, {})])
-    print(_write(args.out, "classification.csv", classification_to_csv(result)))
+    steps = scan_steps(scenario, baseline, [(cfg.scene, {})])
+    print(_write(args.out, "classification.csv", classification_to_csv(steps)))
     return 0
 
 
@@ -111,8 +111,8 @@ def _cmd_monitor(args: argparse.Namespace) -> int:
     steps = tuple(ScenarioStep(path) for path in args.scene)
     scenario = scenario_from_config(base_cfg, "monitor", steps, ("profile", "throughwall"))
     # map() loads each scan only when the loop reaches it.
-    result = _run_scans(scenario, baseline, map(scan, args.scene))
-    print(_write(args.out, "monitor.csv", monitor_to_csv(result)))
+    scans = map(scan, args.scene)
+    print(_write(args.out, "monitor.csv", monitor_to_csv(scan_steps(scenario, baseline, scans))))
     return 0
 
 

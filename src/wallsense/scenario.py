@@ -3,8 +3,9 @@
 A scenario owns a base scene plus an ordered list of steps; every step is
 the base scene with its own mutations applied, never the previous step's
 result, so reordering steps cannot change what any single step sees. Each
-step is pushed through the configured pipeline stages and the per-step
-artifacts are kept for reporting.
+step is pushed through the configured pipeline stages: scan_steps yields
+each step's artifacts as soon as they exist, and run_scenario keeps them
+all for reporting.
 
 Replays are exact: synthesis is seeded, stages are pure, and the writers
 format deterministically, so a rerun reproduces every output byte.
@@ -15,7 +16,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Iterable, Union
+from typing import Iterable, Iterator, Union
 
 from .classify import (
     Baseline,
@@ -46,12 +47,11 @@ from .scene import (
 )
 from .synth import DEFAULT_CHIRP, ChirpConfig, synthesize_beat
 from .throughwall import (
-    ApproachTrack,
+    ApproachStatus,
     MonitorZone,
     OccupancyReport,
     _trend_status,
     detect_occupancy,
-    track_approach,
 )
 
 STAGES = ("profile", "rrm", "classify", "throughwall", "safety")
@@ -130,6 +130,8 @@ class StepResult:
     # One entry per non-reference peak: (peak, rrm, class or None).
     readings: tuple[tuple[Peak, float, TargetClass | None], ...]
     occupancy: OccupancyReport | None
+    # The approach rule over this step's report and all before it; None without throughwall.
+    approach: ApproachStatus | None
     safety: SafetyState | None
 
 
@@ -138,7 +140,6 @@ class RunResult:
     scenario: Scenario
     baseline: Baseline | None
     steps: tuple[StepResult, ...]
-    track: ApproachTrack | None
 
 
 def apply_mutations(scene: Scene, mutations: tuple[Mutation, ...], **changes) -> Scene:
@@ -200,24 +201,27 @@ def run_scenario(scenario: Scenario) -> RunResult:
         (base, {"rng_seed": base.rng_seed + 1 + i, "phase_seed": base.effective_phase_seed})
         for i in range(len(scenario.steps))
     )
-    return _run_scans(scenario, baseline, scans)
+    return RunResult(scenario, baseline, tuple(scan_steps(scenario, baseline, scans)))
 
 
-def _run_scans(
+def scan_steps(
     scenario: Scenario, baseline: Baseline | None, scans: Iterable[tuple[Scene, dict]]
-) -> RunResult:
-    """Build each step's scene and run the scenario's stages on it.
+) -> Iterator[StepResult]:
+    """Build each step's scene and run the scenario's stages on it, yielding
+    each step's result before the next scan is read.
 
     Each scan is a scene and the field changes (new seeds, say) that go
-    into the same build as the step's mutations.
+    into the same build as the step's mutations, so a caller can feed scans
+    as they arrive. The rrm and throughwall stages read baseline. With the
+    throughwall stage, each result carries the running approach status.
 
-    A ValueError from a stage aborts the run with a ScenarioError naming the
-    step index and name and the stage; errors raised while producing the
-    next scan pass through unchanged.
+    A ValueError from a stage raises a ScenarioError naming the step index
+    and name and the stage; errors raised while producing the next scan pass
+    through unchanged.
     """
     pipeline = scenario.pipeline
     state = INITIAL_STATE
-    results: list[StepResult] = []
+    ranges: list[float] = []  # the strongest range of each occupied scan so far
     for i, (step, (scan, changes)) in enumerate(zip(scenario.steps, scans)):
         stage = "profile"
         try:
@@ -243,10 +247,13 @@ def _run_scans(
                         cls = classify(ratio, scenario.bands)
                     readings.append((p, ratio, cls))
 
-            occupancy = None
+            occupancy = approach = None
             if "throughwall" in pipeline:
                 stage = "throughwall"
                 occupancy = detect_occupancy(baseline, prof, scenario.zone, scan_index=i)
+                if occupancy.occupied:
+                    ranges.append(occupancy.strongest().range_m)
+                approach = _trend_status(ranges, occupancy.bin_spacing_m)
 
             safety_state = None
             if "safety" in pipeline:
@@ -261,23 +268,18 @@ def _run_scans(
         except ValueError as exc:
             raise ScenarioError(f"step {i} ('{step.name}') stage '{stage}': {exc}") from exc
 
-        results.append(
-            StepResult(
-                index=i,
-                name=step.name,
-                scene=scene,
-                true_range_m=_declared_target_range(step),
-                profile=prof,
-                peaks=peaks,
-                readings=tuple(readings),
-                occupancy=occupancy,
-                safety=safety_state,
-            )
+        yield StepResult(
+            index=i,
+            name=step.name,
+            scene=scene,
+            true_range_m=_declared_target_range(step),
+            profile=prof,
+            peaks=peaks,
+            readings=tuple(readings),
+            occupancy=occupancy,
+            approach=approach,
+            safety=safety_state,
         )
-
-    reports = [r.occupancy for r in results]
-    track = track_approach(reports, scenario.zone) if "throughwall" in pipeline else None
-    return RunResult(scenario, baseline, tuple(results), track)
 
 
 # ---------------------------------------------------------------------------
@@ -366,9 +368,9 @@ def summary_to_csv(result: RunResult) -> str:
     return "\n".join(lines) + "\n"
 
 
-def classification_to_csv(result: RunResult) -> str:
+def classification_to_csv(steps: Iterable[StepResult]) -> str:
     lines = ["peak_range_m,rsa,rrm,class"]
-    for step in result.steps:
+    for step in steps:
         for peak, ratio, cls in step.readings:
             lines.append(
                 f"{peak.range_m:.9g},{peak.rsa:.9g},{ratio:.9g},"
@@ -377,19 +379,15 @@ def classification_to_csv(result: RunResult) -> str:
     return "\n".join(lines) + "\n"
 
 
-def monitor_to_csv(result: RunResult) -> str:
-    """scan_index,occupied,range_m,excess_rsa,status; row k's status is the
-    track_approach status of reports 0..k, computed in one pass."""
+def monitor_to_csv(steps: Iterable[StepResult]) -> str:
+    """scan_index,occupied,range_m,excess_rsa,status; one row per step of a
+    throughwall run, whose status is that step's running approach status."""
     lines = ["scan_index,occupied,range_m,excess_rsa,status"]
-    reports = [step.occupancy for step in result.steps if step.occupancy is not None]
-    ranges: list[float] = []
-    for report in reports:
+    for step in steps:
+        report = step.occupancy
         strongest = report.strongest()
-        if report.occupied:
-            ranges.append(strongest.range_m)
-        status = _trend_status(ranges, reports[0].bin_spacing_m).value
         r, e = ("", "") if strongest is None else (_fmt(strongest.range_m), _fmt(strongest.rsa))
-        lines.append(f"{report.scan_index},{report.occupied},{r},{e},{status}")
+        lines.append(f"{report.scan_index},{report.occupied},{r},{e},{step.approach.value}")
     return "\n".join(lines) + "\n"
 
 
@@ -425,9 +423,9 @@ def write_run_result(result: RunResult, out_dir: str | Path) -> list[Path]:
     pipeline = result.scenario.pipeline
     if "rrm" in pipeline:
         written.append(_write(out_dir, "summary.csv", summary_to_csv(result)))
-        written.append(_write(out_dir, "classification.csv", classification_to_csv(result)))
+        written.append(_write(out_dir, "classification.csv", classification_to_csv(result.steps)))
     if "throughwall" in pipeline:
-        written.append(_write(out_dir, "monitor.csv", monitor_to_csv(result)))
+        written.append(_write(out_dir, "monitor.csv", monitor_to_csv(result.steps)))
     if "safety" in pipeline:
         written.append(_write(out_dir, "safety.log", safety_log(result)))
     return written

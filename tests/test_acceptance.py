@@ -157,14 +157,14 @@ def test_criterion_5_through_wall_traverse():
         for step, truth in zip(result.steps, truths)
         if step.occupancy.occupied
     )
-    approaching = result.track.status is ApproachStatus.APPROACHING
+    approaching = result.steps[-1].approach is ApproachStatus.APPROACHING
     base_profile = range_profile(synthesize_beat(scenario.base_scene, scenario.chirp))
     self_check = detect_occupancy(result.baseline, base_profile, scenario.zone)
     _verdict(
         "criterion 5 (through-wall traverse)",
         occupied == 4 and within == 4 and approaching and not self_check.occupied,
         f"occupied {occupied}/4, within one bin {within}/4, "
-        f"track {result.track.status.value}, empty self-comparison occupied "
+        f"track {result.steps[-1].approach.value}, empty self-comparison occupied "
         f"{self_check.occupied}",
     )
 

@@ -11,9 +11,9 @@ bench_pair = importlib.util.module_from_spec(_SPEC)
 _SPEC.loader.exec_module(bench_pair)
 
 
-def _record(seed, value, trace=0, numpy="2.4.6"):
+def _record(seed, value, trace=0, numpy="2.4.6", workload="cluttered_room", digest=None):
     return {
-        "workload": "cluttered_room",
+        "workload": workload,
         "seed": seed,
         "trace": trace,
         "python": "3.11.7",
@@ -23,6 +23,7 @@ def _record(seed, value, trace=0, numpy="2.4.6"):
         "correct": True,
         "attempted": 10,
         "failed": 0,
+        "artifacts": {"files": 3, "sha256": digest or f"digest-{workload}-{seed}"},
         "end_to_end": {"live_scan_mean_ms": {"value": value, "unit": "ms"}},
     }
 
@@ -43,6 +44,22 @@ def test_reduce_gives_the_median_inclusive_iqr_and_seeds():
     assert row["iqr"] == 4.5
     assert summary["runs"] == {"cluttered_room": {"correct": True, "attempted": 30, "failed": 0}}
     assert (summary["commit"], summary["src_tree"], summary["nproc"]) == ("abc", "def", 2)
+
+
+def test_reduce_keeps_each_runs_artifact_digest_by_workload_and_seed():
+    records = [*RECORDS, _record(1, 5.0, workload="noisy_sweep", digest="n1"),
+               _record(1, 6.0, workload="noisy_sweep", digest="n1")]
+    assert bench_pair.reduce(records, "abc", "def")["artifacts_sha256"] == {
+        "cluttered_room": {"1": "digest-cluttered_room-1", "2": "digest-cluttered_room-2",
+                           "3": "digest-cluttered_room-3"},
+        "noisy_sweep": {"1": "n1"},
+    }
+
+
+def test_reruns_of_one_seed_that_wrote_different_artifacts_raise():
+    message = "^cluttered_room seed 2: runs wrote different artifacts$"
+    with pytest.raises(ValueError, match=message):
+        bench_pair.reduce([*RECORDS, _record(2, 3.0, digest="other")], "abc", "def")
 
 
 def test_records_from_differing_environments_raise():

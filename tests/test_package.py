@@ -30,9 +30,9 @@ PUBLIC = [
     "detect_peaks", "find_peaks_in_series", "format_log_line", "load_bands",
     "load_scenario_file", "load_scene_config", "parse_labeled_rrm_csv", "parse_scenario",
     "parse_scene_config", "profile_to_csv", "range_profile", "range_resolution",
-    "reflector_phase", "rrm", "rrm_compensated", "run_scenario", "scenario_from_config",
-    "summary_to_csv", "synthesize_beat", "track_approach", "update_door_policy", "update_tier",
-    "write_run_result",
+    "reflector_phase", "rrm", "rrm_compensated", "run_scenario", "scan_steps",
+    "scenario_from_config", "summary_to_csv", "synthesize_beat", "track_approach",
+    "update_door_policy", "update_tier", "write_run_result",
 ]
 
 

@@ -3,7 +3,8 @@
 The scene-document example parses and uses only keys the parser reads:
 the parser ignores keys it does not know, so a key whose field is deleted
 would otherwise stay in the example unnoticed. The library quickstart
-runs and prints what its comment says.
+runs and prints what its comment says, and the scan-loop example prints
+the running approach status of each step.
 """
 
 import dataclasses
@@ -80,3 +81,10 @@ def test_scene_document_example_names_only_record_fields():
 def test_library_quickstart_prints_human(capsys):
     exec(compile(_block("Library quickstart", "python"), "README.md", "exec"), {})
     assert capsys.readouterr().out == "Human\n"
+
+
+def test_scan_loop_example_prints_each_step_as_it_comes(capsys):
+    exec(compile(_block("Design notes", "python"), "README.md", "exec"), {})
+    assert capsys.readouterr().out == (
+        "0 True Static\n1 True Static\n2 True Approaching\n3 True Approaching\n"
+    )

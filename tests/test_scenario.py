@@ -1,12 +1,12 @@
 import csv
 import io
+import itertools
 import math
 from dataclasses import replace
-from types import SimpleNamespace
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from wallsense import (
@@ -19,8 +19,6 @@ from wallsense import (
     ApproachStatus,
     MonitorZone,
     MoveScatterer,
-    OccupancyReport,
-    Peak,
     RemoveScatterer,
     SafetyTier,
     Scatterer,
@@ -33,6 +31,7 @@ from wallsense import (
     apply_mutations,
     builtin_scenario,
     run_scenario,
+    scan_steps,
     summary_to_csv,
     write_run_result,
 )
@@ -301,8 +300,7 @@ class TestHumanSweep:
         assert caps == [0.0, 0.25, 0.25, 1.0]
 
     def test_no_monitoring_artifacts(self, result):
-        assert result.track is None
-        assert all(s.occupancy is None for s in result.steps)
+        assert all(s.occupancy is None and s.approach is None for s in result.steps)
 
 
 class TestCopperTraverse:
@@ -319,8 +317,12 @@ class TestCopperTraverse:
             assert abs(step.occupancy.strongest().range_m - truth) <= spacing
 
     def test_track_is_approaching(self, result):
-        assert result.track.status is ApproachStatus.APPROACHING
-        assert len(result.track.ranges_m) == 4
+        assert [s.approach for s in result.steps] == [
+            ApproachStatus.STATIC,
+            ApproachStatus.STATIC,
+            ApproachStatus.APPROACHING,
+            ApproachStatus.APPROACHING,
+        ]
 
     def test_door_stays_blocked(self, result):
         for step in result.steps:
@@ -393,43 +395,96 @@ class TestWriters:
 
 def _prefix_statuses(reports, zone):
     """Oracle: the running status as first defined, the batch track over every prefix."""
-    return [batch_track_approach(reports[: k + 1], zone).status.value for k in range(len(reports))]
+    return [batch_track_approach(reports[: k + 1], zone) for k in range(len(reports))]
 
 
-def _csv_statuses(result):
-    return [line.rsplit(",", 1)[1] for line in monitor_to_csv(result).splitlines()[1:]]
+def _csv_statuses(steps):
+    return [line.rsplit(",", 1)[1] for line in monitor_to_csv(steps).splitlines()[1:]]
+
+
+TRAVERSE = builtin_scenario("copper_traverse")
+TRAVERSE_BASELINE = run_scenario(replace(TRAVERSE, steps=())).baseline
+# Bins whose ranges lie inside TRAVERSE's zone once its guard bins are shaved off.
+ZONE_BINS = (4, 32)
+
+
+def _sheet_steps(positions):
+    """One step per position: the sheet at that range, or an empty corridor for None."""
+    return tuple(
+        ScenarioStep(f"scan_{i}", () if r is None else (
+            AddScatterer(Scatterer("sheet", r, SHEET_METAL)),
+        ))
+        for i, r in enumerate(positions)
+    )
+
+
+def _reseeded(scene):
+    """Endless scans of scene with fresh noise and fixed phases, as run_scenario makes them."""
+    for i in itertools.count():
+        yield scene, {"rng_seed": scene.rng_seed + 1 + i, "phase_seed": scene.effective_phase_seed}
+
+
+@st.composite
+def _corridor_runs(draw):
+    """Sheet ranges in bins: empty scans, and from one scan to the next a
+    repeat, a one-bin move or a two-bin move, toward or away from the radar."""
+    lo, hi = ZONE_BINS
+    at = draw(st.integers(lo, hi))
+    positions = []
+    for move in draw(st.lists(st.one_of(st.none(), st.integers(-2, 2)), max_size=12)):
+        if move is not None:
+            at = min(max(at + move, lo), hi)
+        positions.append(None if move is None else at)
+    return positions
+
+
+class TestScanSteps:
+    def test_each_step_is_yielded_before_the_next_scan_is_read(self):
+        pulls = []
+
+        def scans():
+            for i, scan in enumerate(_reseeded(TRAVERSE.base_scene)):
+                pulls.append(i)
+                yield scan
+
+        steps = scan_steps(TRAVERSE, TRAVERSE_BASELINE, scans())
+        for k, step in enumerate(steps):
+            assert step.index == k
+            assert pulls == list(range(k + 1))
+        # The scenario has four steps, so a fifth scan is never read.
+        assert pulls == [0, 1, 2, 3]
+
+    def test_a_stage_failure_comes_after_the_earlier_steps(self):
+        steps = _sheet_steps([2.2, 1.6]) + (ScenarioStep("bad", (MoveScatterer("ghost", 1.0),)),)
+        yielded = []
+        message = r"^step 2 \('bad'\) stage 'profile': no scatterer with id 'ghost' to move$"
+        with pytest.raises(ScenarioError, match=message):
+            for step in scan_steps(replace(TRAVERSE, steps=steps), TRAVERSE_BASELINE,
+                                   _reseeded(TRAVERSE.base_scene)):
+                yielded.append(step.index)
+        assert yielded == [0, 1]
 
 
 class TestMonitorRunningStatus:
     def test_one_pass_status_equals_prefix_tracking(self):
-        base = builtin_scenario("copper_traverse")
         positions = [None, 2.2, 1.9, 1.6, 1.3, 1.3, None, 1.6, 1.9, 2.2, None, 1.0]
-        steps = [
-            ScenarioStep(f"scan_{i}", () if r is None else (
-                AddScatterer(Scatterer("sheet", r, SHEET_METAL)),
-            ))
-            for i, r in enumerate(positions)
-        ]
-        result = run_scenario(replace(base, steps=tuple(steps)))
-        reports = [s.occupancy for s in result.steps]
-        want = _prefix_statuses(reports, base.zone)
+        result = run_scenario(replace(TRAVERSE, steps=_sheet_steps(positions)))
+        want = [t.status.value for t in
+                _prefix_statuses([s.occupancy for s in result.steps], TRAVERSE.zone)]
         assert set(want) == {"Empty", "Static", "Approaching", "Receding"}
-        assert _csv_statuses(result) == want
+        assert _csv_statuses(result.steps) == want
 
     @settings(max_examples=200, deadline=None)
-    @given(
-        st.lists(st.one_of(st.none(), st.floats(0.2, 2.4)), max_size=12),
-        st.floats(0.01, 0.3),
-    )
-    def test_one_pass_status_equals_prefix_tracking_on_any_run(self, ranges, spacing):
-        reports = [
-            OccupancyReport(
-                r is not None,
-                () if r is None else (Peak(r, 0.05, 0.05, round(r / spacing)),),
-                i,
-                spacing,
-            )
-            for i, r in enumerate(ranges)
-        ]
-        result = SimpleNamespace(steps=[SimpleNamespace(occupancy=r) for r in reports])
-        assert _csv_statuses(result) == _prefix_statuses(reports, MonitorZone(0.1, 2.6))
+    @given(_corridor_runs())
+    @example([])
+    @example([None, None])
+    @example([30, 29, 28, 27, 27, None, 28, 29, 30])  # one-bin moves: never past a bin
+    @example([30, 28, 26, 24, None, 24, 26, 28, 30, 30])  # approach, then recede
+    def test_one_pass_status_equals_prefix_tracking_on_any_run(self, bins):
+        spacing = TRAVERSE_BASELINE.profile.bin_spacing_m
+        positions = [None if b is None else b * spacing for b in bins]
+        scenario = replace(TRAVERSE, steps=_sheet_steps(positions))
+        steps = list(scan_steps(scenario, TRAVERSE_BASELINE, _reseeded(TRAVERSE.base_scene)))
+        want = _prefix_statuses([s.occupancy for s in steps], TRAVERSE.zone)
+        assert [s.approach for s in steps] == [t.status for t in want]
+        assert _csv_statuses(steps) == [t.status.value for t in want]

@@ -375,10 +375,8 @@ class TestTrackApproachMemo:
                 reports.pop()
             elif op == "replay":
                 result = run_scenario(builtin_scenario("copper_traverse"))
-                assert result.track == batch_track_approach(
-                    [step.occupancy for step in result.steps], ZONE
-                )
                 lists[cur] = reports = [step.occupancy for step in result.steps]
+                assert result.steps[-1].approach is batch_track_approach(reports, ZONE).status
             assert _outcome(track_approach, reports) == _outcome(batch_track_approach, reports)
 
     def test_a_grown_list_reads_only_its_new_reports(self):

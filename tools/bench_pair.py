@@ -8,7 +8,9 @@ separate checkouts, interleaved, then reduce each side's files:
         --out BENCH_8_before.json ../parent/.perfbench/results/*-trace0.json
 
 One row per (workload, end-to-end metric): the median and interquartile
-range over the runs, and the seeds they used.
+range over the runs, and the seeds they used. Each run's artifact digest
+is kept by workload and seed, so two BENCH files show seed by seed whether
+both sides wrote the same bytes.
 """
 
 from __future__ import annotations
@@ -33,8 +35,12 @@ def reduce(records: list[dict], commit: str, src_tree: str) -> dict:
         raise ValueError(f"runs differ in python, numpy, nproc or seconds: {sorted(envs)}")
     python, numpy, nproc, seconds = envs.pop()
     by_workload: dict[str, list[dict]] = {}
+    digests: dict[str, dict[str, str]] = {}
     for r in sorted(records, key=lambda r: (r["workload"], r["seed"])):
         by_workload.setdefault(r["workload"], []).append(r)
+        digest = r["artifacts"]["sha256"]
+        if digests.setdefault(r["workload"], {}).setdefault(str(r["seed"]), digest) != digest:
+            raise ValueError(f"{r['workload']} seed {r['seed']}: runs wrote different artifacts")
     rows = []
     for workload, runs in by_workload.items():
         for metric, first in runs[0]["end_to_end"].items():
@@ -60,6 +66,7 @@ def reduce(records: list[dict], commit: str, src_tree: str) -> dict:
                      "failed": sum(r["failed"] for r in runs)}
                  for w, runs in by_workload.items()},
         "metrics": rows,
+        "artifacts_sha256": digests,
     }
 
 
